@@ -111,11 +111,15 @@ def _recursion(x, mu, phi, omega, a, b_coef):
     return innov, sigma2
 
 
+def _gaussian_terms(innov, sigma2) -> np.ndarray:
+    """Gaussian loglikelihood term of each innovation given its variance."""
+    return -0.5 * (_LOG_2PI + np.log(sigma2) + innov * innov / sigma2)
+
+
 def _loglik_terms(x, mu, phi, omega, a, b_coef) -> np.ndarray:
     """Per-observation Gaussian loglikelihood terms (no parameter validation)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        innov, sigma2 = _recursion(x, mu, phi, omega, a, b_coef)
-        return -0.5 * (_LOG_2PI + np.log(sigma2) + innov * innov / sigma2)
+        return _gaussian_terms(*_recursion(x, mu, phi, omega, a, b_coef))
 
 
 def filter_series(x, params: ArGarchParams) -> FilteredSeries:
@@ -131,7 +135,7 @@ def filter_series(x, params: ArGarchParams) -> FilteredSeries:
                                params.a, params.b_coef)
     sigma = np.sqrt(sigma2)
     resid = innov / sigma
-    ll = float(np.sum(-0.5 * (_LOG_2PI + np.log(sigma2) + innov * innov / sigma2)))
+    ll = float(np.sum(_gaussian_terms(innov, sigma2)))
     return FilteredSeries(sigma=sigma, resid=resid, params=params, loglik=ll)
 
 
@@ -204,28 +208,18 @@ def fit_qmle(x, init: Optional[ArGarchParams] = None,
     if init is not None:
         starts.append(init)
 
-    results = []
-    for p0 in starts:
-        res = minimize(objective, _pack(p0), method="Nelder-Mead",
-                       options={"maxiter": 10000, "maxfev": 10000,
-                                "xatol": 1e-6, "fatol": 1e-8})
-        if math.isfinite(res.fun):
-            results.append(res)
+    results = [minimize(objective, _pack(p0), method="Nelder-Mead",
+                        options={"maxiter": 10000, "maxfev": 10000,
+                                 "xatol": 1e-6, "fatol": 1e-8})
+               for p0 in starts]
     converged = [r for r in results if r.success]
     if not converged:
         raise ConvergenceError("QMLE simplex search failed to converge from any start")
     best = min(converged, key=lambda r: r.fun)
 
-    mu, phi, wt, st, ft = best.x
-    omega = float(np.logaddexp(0.0, wt))
-    raw_total = float(expit(st))
-    flags = ()
-    if raw_total > _MAX_PERSISTENCE:
-        flags = ("near_igarch",)
-    total = min(raw_total, _MAX_PERSISTENCE)
-    frac = float(expit(ft))
-    params = ArGarchParams(float(mu), float(phi), omega,
-                           total * frac, total * (1.0 - frac))
+    # the flag reads the persistence before _unpack clamps it
+    flags = ("near_igarch",) if float(expit(best.x[3])) > _MAX_PERSISTENCE else ()
+    params = ArGarchParams(*(float(v) for v in _unpack(best.x)))
 
     fitted = filter_series(x, params)
     se = _sandwich_se(x, params) if compute_se else None

@@ -85,14 +85,25 @@ def percentile_ci(x, statistic, spec: BootstrapSpec) -> tuple:
     """
     x = np.asarray(x)
     point = float(statistic(x))
-    n = len(x)
+    lower, upper = _replicate_ci(len(x), spec, lambda idx: statistic(x[idx]))
+    return lower, upper, point
+
+
+def _replicate_ci(n: int, spec: BootstrapSpec, statistic_at) -> tuple:
+    """Percentile endpoints (lower, upper) of statistic_at(indices) over replicates.
+
+    The one replicate loop of the package: replicate r evaluates the
+    statistic on the index vector resample_indices(n, spec, r).  A replicate
+    whose statistic raises a domain error is dropped; more than 20% dropped
+    aborts with an EstimationError.
+    """
     values = []
     failures = 0
     budget = 0.2 * spec.replicates
     for r in range(spec.replicates):
-        xs = x[resample_indices(n, spec, r)]
+        idx = resample_indices(n, spec, r)
         try:
-            values.append(float(statistic(xs)))
+            values.append(float(statistic_at(idx)))
         except (EvtriskError, ValueError, FloatingPointError):
             failures += 1
             if failures > budget:
@@ -102,4 +113,4 @@ def percentile_ci(x, statistic, spec: BootstrapSpec) -> tuple:
     tail = (1.0 - spec.level) / 2.0
     # weibull positions (R+1)q are exact integers for e.g. 999 replicates
     lower, upper = np.quantile(values, [tail, 1.0 - tail], method="weibull")
-    return float(lower), float(upper), point
+    return float(lower), float(upper)

@@ -24,18 +24,22 @@ import numpy as np
 
 from . import __version__
 from .argarch import ArGarchParams, fit_qmle, forecast_next
-from .backtest import METHODS, roll_conditional, roll_unconditional, sliding_backtest
+from .backtest import (METHODS, method_quantile, roll_conditional, roll_unconditional,
+                       sliding_backtest)
 from .bootstrap import BootstrapSpec, percentile_ci
 from .decluster import rank_gap_decluster, weekday_subsample
-from .errors import EvtriskError
+from .errors import DataError, EvtriskError
 from .extremal import extremal_index_sliding, theta_ci, theta_sweep
 from .ingest import ReturnSeries, acf, align_pairs, load_prices, load_returns, to_returns
 from .simulate import sim_argarch, sim_duplicated, sim_frechet, sim_pareto
 from .taildep import chi_ci, chi_hat, chi_trace, residual_pair
-from .tailest import (empirical_quantile, hill, hill_corrected, pareto_qq_points,
-                      qq_slope_alpha, tail_index_trace, weissman_quantile)
+from .tailest import (CORRECTED_HILL, QQ_REGRESSION, STANDARD_HILL, TAIL_ESTIMATORS,
+                      tail_index_trace, weissman_quantile)
 
 SCHEMA_VERSION = 1
+
+# tail --method choice -> tailest.TAIL_ESTIMATORS key
+TAIL_METHODS = {"hill": STANDARD_HILL, "corrected": CORRECTED_HILL, "qq": QQ_REGRESSION}
 
 
 def _sha256(path: str) -> str:
@@ -49,7 +53,10 @@ def _sha256(path: str) -> str:
 def _load_series(path: str) -> ReturnSeries:
     """Load a return series; price files (a close column) are differenced."""
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh))
+        header = next(csv.reader(fh), [])
+    if len(header) < 2:
+        raise DataError(f"{path}: expected a header row with a date and a value "
+                        "or price column")
     names = [h.strip().lower() for h in header]
     date_col = header[names.index("date")] if "date" in names else header[0]
     if "value" in names:
@@ -75,7 +82,7 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_json(obj: dict, path: Path) -> None:
+def _dump_json(obj: dict, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True,
                                default=_json_default) + "\n")
 
@@ -95,7 +102,7 @@ def _emit(args, report: dict, plots: dict = None, extra_outputs=()) -> None:
 
     report = {"schema_version": SCHEMA_VERSION, "command": args.command, **report}
     report_path = out_dir / f"{prefix}_report.json"
-    _write_json(report, report_path)
+    _dump_json(report, report_path)
 
     outputs = [report_path.name]
     for name, (header, rows) in (plots or {}).items():
@@ -119,7 +126,7 @@ def _emit(args, report: dict, plots: dict = None, extra_outputs=()) -> None:
         "inputs": inputs,
         "outputs": sorted(outputs),
     }
-    _write_json(manifest, out_dir / f"{prefix}_manifest.json")
+    _dump_json(manifest, out_dir / f"{prefix}_manifest.json")
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -151,15 +158,10 @@ def _boot_spec(args) -> BootstrapSpec:
 def _cmd_tail(args) -> None:
     r = _load_series(args.input)
     x = r.values
+    method = TAIL_METHODS[args.method]
+    estimate = TAIL_ESTIMATORS[method]
 
-    def fit_at(k_alpha):
-        if args.method == "hill":
-            return hill(x, k_alpha)
-        if args.method == "corrected":
-            return hill_corrected(x, k_alpha, rho=args.rho)
-        return qq_slope_alpha(pareto_qq_points(x, k_alpha))
-
-    fit = fit_at(args.k_alpha)
+    fit = estimate(x, args.k_alpha, args.rho)
     report = {"input": args.input, "n": len(x), "method": args.method,
               "k_alpha": args.k_alpha, "gamma": fit.gamma, "alpha": fit.alpha}
     if args.method == "corrected":
@@ -167,36 +169,22 @@ def _cmd_tail(args) -> None:
 
     if args.ci:
         spec = _boot_spec(args)
-        lo, hi, _ = percentile_ci(x, lambda xs: fit_at_sample(xs, args), spec)
+        lo, hi, _ = percentile_ci(
+            x, lambda xs: estimate(xs, args.k_alpha, args.rho).alpha, spec)
         report["alpha_ci"] = {"lower": lo, "upper": hi, "level": spec.level}
 
     if args.p is not None:
         k = args.k if args.k is not None else args.k_alpha
-        if args.method == "empirical":
-            report["quantile"] = empirical_quantile(x, args.p)
-        else:
-            report["quantile"] = weissman_quantile(x, args.p, k, fit).value
-        report.update({"p": args.p, "k": k})
+        report.update({"p": args.p, "k": k,
+                       "quantile": weissman_quantile(x, args.p, k, fit).value})
 
     plots = {}
     if args.k_grid:
-        grid = _parse_grid(args.k_grid)
-        trace = tail_index_trace(x, grid, method={"hill": "standard_hill",
-                                                  "corrected": "corrected_hill",
-                                                  "qq": "qq_regression"}[args.method],
+        trace = tail_index_trace(x, _parse_grid(args.k_grid), method=method,
                                  rho=args.rho)
         rows = [(f.k_alpha, f.alpha, f.gamma) for f in trace]
         plots["trace"] = (["k", "alpha", "gamma"], rows)
     _emit(args, report, plots)
-
-
-def fit_at_sample(xs, args):
-    """Tail index on a bootstrap resample (module-level for clarity in tracebacks)."""
-    if args.method == "hill":
-        return hill(xs, args.k_alpha).alpha
-    if args.method == "corrected":
-        return hill_corrected(xs, args.k_alpha, rho=args.rho).alpha
-    return qq_slope_alpha(pareto_qq_points(xs, args.k_alpha)).alpha
 
 
 def _cmd_theta(args) -> None:
@@ -272,7 +260,7 @@ def _cmd_garch(args) -> None:
         report["filter_out"] = args.filter_out
         extra.append(args.filter_out)
     if args.forecast:
-        rq = _resid_quantile(fitted.resid, args.p, args.resid_method)
+        rq = method_quantile(fitted.resid, args.p, args.resid_method)
         fc = forecast_next(fitted, float(r.values[-1]), rq)
         report["forecast"] = {"p": args.p, "resid_method": args.resid_method,
                               "resid_quantile": rq, "mu_next": fc.mu_next,
@@ -280,9 +268,22 @@ def _cmd_garch(args) -> None:
     _emit(args, report, extra_outputs=extra)
 
 
-def _resid_quantile(resid, p, method) -> float:
-    from .backtest import method_quantile
-    return method_quantile(resid, p, method)
+def _sliding_tests(exceedances_by_method: dict, test_lens, level: float) -> dict:
+    """Sliding-window UC/IND/CC rejection rates per method and test length.
+
+    Test lengths longer than a method's exceedance series are left out.
+    """
+    tests = {}
+    for m, e in exceedances_by_method.items():
+        tests[m] = {}
+        for L in test_lens:
+            if e.n >= L:
+                sb = sliding_backtest(e, L, level=level)
+                tests[m][str(L)] = {
+                    "reject_uc": sb.reject_uc, "reject_ind": sb.reject_ind,
+                    "reject_cc": sb.reject_cc, "placements": sb.placements,
+                    "mean_count": sb.mean_count, "max_count": sb.max_count}
+    return tests
 
 
 def _cmd_backtest_uncond(args) -> None:
@@ -299,17 +300,10 @@ def _cmd_backtest_uncond(args) -> None:
                 rows.append((int(s), m, repr(res.forecasts[m][j]), L,
                              "" if np.isnan(c) else int(c)))
     summary = {"windows": int(res.starts.size), "window": args.window,
-               "step": args.step, "p": args.p, "mean_counts": {}, "tests": {}}
-    for m in methods:
-        summary["mean_counts"][m] = {str(L): res.mean_count(m, L) for L in test_lens}
-        summary["tests"][m] = {}
-        for L in test_lens:
-            if res.daily[m].n >= L:
-                sb = sliding_backtest(res.daily[m], L, level=args.level)
-                summary["tests"][m][str(L)] = {
-                    "reject_uc": sb.reject_uc, "reject_ind": sb.reject_ind,
-                    "reject_cc": sb.reject_cc, "placements": sb.placements,
-                    "mean_count": sb.mean_count, "max_count": sb.max_count}
+               "step": args.step, "p": args.p,
+               "mean_counts": {m: {str(L): res.mean_count(m, L) for L in test_lens}
+                               for m in methods},
+               "tests": _sliding_tests(res.daily, test_lens, args.level)}
     plots = {"windows": (["window_start", "method", "forecast", "test_len", "count"], rows)}
     _emit(args, {"input": args.input, **summary}, plots)
 
@@ -327,16 +321,7 @@ def _cmd_backtest_cond(args) -> None:
                          int(res.exceedances[m].indicators[j])))
     summary = {"days": int(res.days.size), "window": args.window, "step": args.step,
                "p": args.p, "refit_failures": int(res.refit_failures.size),
-               "tests": {}}
-    for m in methods:
-        summary["tests"][m] = {}
-        for L in test_lens:
-            if res.exceedances[m].n >= L:
-                sb = sliding_backtest(res.exceedances[m], L, level=args.level)
-                summary["tests"][m][str(L)] = {
-                    "reject_uc": sb.reject_uc, "reject_ind": sb.reject_ind,
-                    "reject_cc": sb.reject_cc, "placements": sb.placements,
-                    "mean_count": sb.mean_count, "max_count": sb.max_count}
+               "tests": _sliding_tests(res.exceedances, test_lens, args.level)}
     plots = {"days": (["day", "date", "method", "forecast", "exceed"], rows)}
     _emit(args, {"input": args.input, **summary}, plots)
 
@@ -428,9 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".", help="directory for reports and plot data")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker count hint; results do not depend on it")
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
     inp = argparse.ArgumentParser(add_help=False)
     inp.add_argument("--input", required=True,
@@ -444,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", parents=[common, inp, boot],
                        help="tail index and high quantile estimation")
-    p.add_argument("--method", choices=["hill", "corrected", "qq"], default="hill")
+    p.add_argument("--method", choices=list(TAIL_METHODS), default="hill")
     p.add_argument("--k-alpha", type=int, required=True,
                    help="number of top order statistics for the index")
     p.add_argument("--rho", type=float, default=-1.0,
@@ -516,6 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["argarch", "pareto", "frechet", "dup"],
                    required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--m", type=int, default=2, help="duplication factor for dup")
     p.add_argument("--mu", type=float, default=0.0)

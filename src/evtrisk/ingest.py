@@ -13,8 +13,7 @@ estimators (tail index, extremal index, GARCH filtering, ...) consume the
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +35,8 @@ def _as_dates(dates) -> np.ndarray:
 
 
 def _check_dates_increasing(dates: np.ndarray, what: str) -> None:
+    if np.any(np.isnat(dates)):
+        raise DataError(f"missing date in {what}")
     if len(dates) >= 2:
         diffs = np.diff(dates.astype("int64"))
         if np.any(diffs == 0):
@@ -88,6 +89,8 @@ class ReturnSeries:
             raise DataError("dates and values must have equal length")
         if len(self.values) == 0:
             raise DataError("empty return series")
+        if not np.all(np.isfinite(self.values)):
+            raise DataError(f"non-finite return in {self.symbol!r}")
         _check_dates_increasing(self.dates, f"returns {self.symbol!r}")
 
     def __len__(self) -> int:
@@ -108,17 +111,6 @@ class ReturnSeries:
             w.writerow(["date", "value"])
             for d, v in zip(self.dates, self.values):
                 w.writerow([str(d), repr(float(v))])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "symbol": self.symbol,
-            "dates": [str(d) for d in self.dates],
-            "values": [float(v) for v in self.values],
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
 
 
 @dataclass(frozen=True, eq=False)

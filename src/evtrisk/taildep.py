@@ -24,7 +24,7 @@ import numpy as np
 from scipy.stats import rankdata, t as student_t
 
 from .argarch import fit_qmle
-from .bootstrap import BootstrapSpec, resample_indices
+from .bootstrap import BootstrapSpec, _replicate_ci
 from .ingest import PairedReturns
 
 __all__ = ["TailDepFit", "chi_hat", "chi_ci", "chi_trace", "residual_pair",
@@ -71,15 +71,10 @@ def chi_hat(x, y, k: int) -> TailDepFit:
 def chi_ci(x, y, k: int, spec: BootstrapSpec) -> tuple:
     """Paired stationary-bootstrap percentile CI: (lower, upper, point)."""
     x, y = _check_pair(x, y, k)
-    n = x.size
     point = chi_hat(x, y, k).chi
-    values = np.empty(spec.replicates)
-    for r in range(spec.replicates):
-        idx = resample_indices(n, spec, r)
-        values[r] = chi_hat(x[idx], y[idx], k).chi
-    tail = (1.0 - spec.level) / 2.0
-    lower, upper = np.quantile(values, [tail, 1.0 - tail], method="weibull")
-    return float(lower), float(upper), point
+    lower, upper = _replicate_ci(x.size, spec,
+                                 lambda idx: chi_hat(x[idx], y[idx], k).chi)
+    return lower, upper, point
 
 
 def chi_trace(x, y, k_grid, boot_spec: Optional[BootstrapSpec] = None) -> list:

@@ -34,6 +34,7 @@ __all__ = [
     "weissman_quantile",
     "empirical_quantile",
     "tail_index_trace",
+    "TAIL_ESTIMATORS",
 ]
 
 STANDARD_HILL = "standard_hill"
@@ -188,22 +189,28 @@ def empirical_quantile(x, p: float) -> float:
     return float(np.partition(x, idx - 1)[idx - 1])
 
 
+# method name -> (x, k, rho) -> TailFit.  The entries call the estimators
+# through the module globals, so a wrapper installed on this module (a
+# profiler, a test double) sees every call made through the table.
+TAIL_ESTIMATORS = {
+    STANDARD_HILL: lambda x, k, rho: hill(x, k),
+    CORRECTED_HILL: lambda x, k, rho: hill_corrected(x, k, rho=rho),
+    QQ_REGRESSION: lambda x, k, rho: qq_slope_alpha(pareto_qq_points(x, k)),
+}
+
+
 def tail_index_trace(x, k_grid, method: str = STANDARD_HILL, rho: float = -1.0) -> list:
     """Tail fits over a grid of k values (for stability plots).
 
     Grid points where the estimator is undefined are skipped.
     """
+    if method not in TAIL_ESTIMATORS:
+        raise ValueError(f"unknown method {method!r}")
+    estimate = TAIL_ESTIMATORS[method]
     out = []
     for k in k_grid:
         try:
-            if method == STANDARD_HILL:
-                out.append(hill(x, int(k)))
-            elif method == CORRECTED_HILL:
-                out.append(hill_corrected(x, int(k), rho=rho))
-            elif method == QQ_REGRESSION:
-                out.append(qq_slope_alpha(pareto_qq_points(x, int(k))))
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            out.append(estimate(x, int(k), rho))
         except EstimationError:
             continue
     return out

@@ -55,6 +55,16 @@ def test_missing_input_exits_1(tmp_path, capsys):
     assert err and "\n" not in err  # single-line diagnostic
 
 
+@pytest.mark.parametrize("content", ["", "date\n2020-01-01\n2020-01-02\n"])
+def test_malformed_header_exits_1(tmp_path, capsys, content):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(content)
+    code = _run("acf", "--input", bad, "--out-dir", tmp_path / "o")
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+
+
 def test_domain_error_exits_1(pareto_csv, tmp_path, capsys):
     code = _run("theta", "--input", pareto_csv, "--out-dir", tmp_path)
     assert code == 1  # neither --block-size nor --block-grid given
@@ -106,6 +116,17 @@ def test_tail_report_estimates_alpha(pareto_csv, tmp_path):
     assert manifest["flags"]["k_alpha"] == 150
 
 
+def test_only_sim_records_a_seed_flag(pareto_csv, tmp_path):
+    assert _run("acf", "--input", pareto_csv, "--out-dir", tmp_path) == 0
+    flags = _read_json(tmp_path / "acf_manifest.json")["flags"]
+    assert "threads" not in flags and "seed" not in flags
+    sim_flags = _read_json(pareto_csv.parent / "sim_manifest.json")["flags"]
+    assert sim_flags["seed"] == 7 and "threads" not in sim_flags
+    with pytest.raises(SystemExit) as exc:
+        main(["acf", "--input", str(pareto_csv), "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_tail_bootstrap_ci(pareto_csv, tmp_path):
     out = tmp_path / "tailci"
     assert _run("tail", "--input", pareto_csv, "--k-alpha", 150, "--ci",
@@ -115,6 +136,30 @@ def test_tail_bootstrap_ci(pareto_csv, tmp_path):
     ci = report["alpha_ci"]
     assert ci["lower"] < report["alpha"] < ci["upper"]
     assert ci["level"] == 0.90
+
+
+@pytest.mark.parametrize("method, estimate", [
+    ("hill", lambda x, k: ev.hill(x, k)),
+    ("corrected", lambda x, k: ev.hill_corrected(x, k, rho=-0.8)),
+    ("qq", lambda x, k: ev.qq_slope_alpha(ev.pareto_qq_points(x, k))),
+])
+def test_tail_methods_match_library_calls(pareto_csv, tmp_path, method, estimate):
+    out = tmp_path / method
+    assert _run("tail", "--input", pareto_csv, "--method", method,
+                "--k-alpha", 150, "--rho", -0.8, "--p", 0.995, "--k", 120,
+                "--k-grid", "40:200:40", "--ci", "--boot-reps", 49,
+                "--boot-mean-block", 20, "--out-dir", out) == 0
+    report = _read_json(out / "tail_report.json")
+    x = ev.load_returns(pareto_csv).values
+    fit = estimate(x, 150)
+    assert report["alpha"] == fit.alpha
+    assert report["quantile"] == ev.weissman_quantile(x, 0.995, 120, fit).value
+    spec = ev.BootstrapSpec(replicates=49, mean_block=20.0, seed=0, level=0.90)
+    lo, hi, _ = ev.percentile_ci(x, lambda xs: estimate(xs, 150).alpha, spec)
+    assert report["alpha_ci"] == {"lower": lo, "upper": hi, "level": 0.90}
+    rows = (out / "tail_trace.csv").read_text().splitlines()[1:]
+    want = [estimate(x, k) for k in (40, 80, 120, 160, 200)]
+    assert rows == [f"{f.k_alpha},{f.alpha!r},{f.gamma!r}" for f in want]
 
 
 def test_theta_single_block_and_sweep(pareto_csv, tmp_path):

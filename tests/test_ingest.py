@@ -44,6 +44,40 @@ def test_load_prices_rejects_missing_column(tmp_path):
         ev.load_prices(p)
 
 
+def test_load_prices_rejects_blank_date(tmp_path):
+    p = tmp_path / "px.csv"
+    _write_price_csv(p, ["2020-01-01,100.0", ",101.0", "2020-01-03,102.0"])
+    with pytest.raises(DataError, match="missing date"):
+        ev.load_prices(p)
+
+
+@pytest.mark.parametrize("row, match", [(",0.5", "missing date"),
+                                        ("2020-01-03,nan", "non-finite"),
+                                        ("2020-01-03,inf", "non-finite")])
+def test_load_returns_rejects_blank_date_and_non_finite_value(tmp_path, row, match):
+    p = tmp_path / "r.csv"
+    p.write_text("date,value\n2020-01-01,0.1\n2020-01-02,-0.2\n" + row + "\n")
+    with pytest.raises(DataError, match=match):
+        ev.load_returns(p)
+
+
+def test_series_constructors_reject_missing_dates():
+    dates = DATES[:3].copy()
+    dates[1] = np.datetime64("NaT")
+    with pytest.raises(DataError, match="missing date"):
+        ev.PriceSeries(dates, np.array([100.0, 101.0, 102.0]))
+    with pytest.raises(DataError, match="missing date"):
+        ev.ReturnSeries(dates, np.zeros(3))
+    with pytest.raises(DataError, match="missing date"):
+        ev.ReturnSeries(np.array(["NaT"], dtype="datetime64[D]"), np.zeros(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_return_series_rejects_non_finite_values(bad):
+    with pytest.raises(DataError, match="non-finite"):
+        ev.ReturnSeries(DATES[:3], np.array([0.1, bad, -0.2]))
+
+
 def test_to_returns_sign_and_scale():
     prices = ev.PriceSeries(DATES[:3], np.array([100.0, 110.0, 99.0]), "TST")
     r = ev.to_returns(prices)

@@ -90,6 +90,18 @@ def test_chi_ci_brackets_point_and_is_paired(tcopula_sample):
     assert lo_s >= 0.99
 
 
+def test_chi_ci_matches_hand_rolled_replicate_loop(tcopula_sample):
+    x, y, _, _ = tcopula_sample
+    spec = ev.BootstrapSpec(replicates=59, mean_block=40.0, seed=5, level=0.80)
+    values = []
+    for r in range(spec.replicates):
+        idx = ev.resample_indices(x.size, spec, r)
+        values.append(ev.chi_hat(x[idx], y[idx], 300).chi)
+    lo, hi = np.quantile(values, [0.1, 0.9], method="weibull")
+    assert ev.chi_ci(x, y, 300, spec) == (float(lo), float(hi),
+                                          ev.chi_hat(x, y, 300).chi)
+
+
 def test_chi_trace_spans_grid(tcopula_sample):
     x, y, _, _ = tcopula_sample
     spec = ev.BootstrapSpec(replicates=49, mean_block=50.0, seed=4, level=0.90)
