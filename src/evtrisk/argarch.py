@@ -116,10 +116,28 @@ def _gaussian_terms(innov, sigma2) -> np.ndarray:
     return -0.5 * (_LOG_2PI + np.log(sigma2) + innov * innov / sigma2)
 
 
-def _loglik_terms(x, mu, phi, omega, a, b_coef) -> np.ndarray:
-    """Per-observation Gaussian loglikelihood terms (no parameter validation)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _gaussian_terms(*_recursion(x, mu, phi, omega, a, b_coef))
+def _scores(x, theta) -> np.ndarray:
+    """Exact per-observation scores d l_t / d theta, shape (n - 1, 5).
+
+    theta is (mu, phi, omega, a, b_coef) in the original coordinates.  The
+    variance derivatives follow the variance recursion itself,
+    d sigma2_t = drive_t + b_coef * d sigma2_{t-1}, so one 2-D filter pass
+    gives all five (Fiorentini, Calzolari & Panattoni 1996).
+    """
+    innov, sigma2 = _recursion(x, *theta)
+    a, b_coef = theta[3], theta[4]
+    d_innov = np.zeros((innov.size, 5))
+    d_innov[:, 0] = -1.0
+    d_innov[:, 1] = -x[:-1]
+    # the start values a_1 and sigma_1^2 do not depend on theta
+    drive = np.zeros_like(d_innov)
+    drive[1:] = 2.0 * a * innov[:-1, None] * d_innov[:-1]
+    drive[:, 2] = 1.0
+    drive[:, 3] = np.concatenate(([(x[0] - x.mean()) ** 2], innov[:-1] ** 2))
+    drive[:, 4] = np.concatenate(([np.var(x)], sigma2[:-1]))
+    d_sigma2 = lfilter([1.0], [1.0, -b_coef], drive, axis=0)
+    w = 0.5 * (innov * innov / sigma2 - 1.0) / sigma2
+    return w[:, None] * d_sigma2 - (innov / sigma2)[:, None] * d_innov
 
 
 def filter_series(x, params: ArGarchParams) -> FilteredSeries:
@@ -159,7 +177,7 @@ def _pack(p: ArGarchParams) -> np.ndarray:
 
 
 def _starts(x) -> list:
-    """Three fixed data-derived starting points (plus caller-supplied init)."""
+    """Three fixed data-derived starting points."""
     m = float(np.mean(x))
     v = float(np.var(x))
     r1 = float(np.corrcoef(x[:-1], x[1:])[0, 1])
@@ -171,22 +189,18 @@ def _starts(x) -> list:
     ]
 
 
-def fit_qmle(x, init: Optional[ArGarchParams] = None,
-             compute_se: bool = True) -> FilteredSeries:
+def fit_qmle(x, compute_se: bool = True) -> FilteredSeries:
     """Fit AR(1)-GARCH(1,1) by Gaussian QMLE.
 
     Derivative-free simplex search over a reparameterized space enforcing
     omega > 0, a >= 0, b_coef >= 0 and a + b_coef < 1, multistarted from
-    three fixed data-derived points (plus `init` when given).  A boundary
-    solution with persistence at 1 - 1e-6 is returned with a "near_igarch"
-    flag rather than rejected.
+    three fixed data-derived points.  A boundary solution with persistence
+    at 1 - 1e-6 is returned with a "near_igarch" flag rather than rejected.
 
     Parameters
     ----------
     x : array-like
         Return series, length >= 200, non-constant.
-    init : ArGarchParams, optional
-        Extra starting point for the multistart.
     compute_se : bool
         Attach QMLE sandwich standard errors (skipped in bulk rolling fits).
 
@@ -201,17 +215,14 @@ def fit_qmle(x, init: Optional[ArGarchParams] = None,
         raise EstimationError("constant series: GARCH parameters unidentifiable")
 
     def objective(z):
-        ll = float(np.sum(_loglik_terms(x, *_unpack(z))))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ll = float(np.sum(_gaussian_terms(*_recursion(x, *_unpack(z)))))
         return -ll if math.isfinite(ll) else 1e300
-
-    starts = _starts(x)
-    if init is not None:
-        starts.append(init)
 
     results = [minimize(objective, _pack(p0), method="Nelder-Mead",
                         options={"maxiter": 10000, "maxfev": 10000,
                                  "xatol": 1e-6, "fatol": 1e-8})
-               for p0 in starts]
+               for p0 in _starts(x)]
     converged = [r for r in results if r.success]
     if not converged:
         raise ConvergenceError("QMLE simplex search failed to converge from any start")
@@ -227,49 +238,23 @@ def fit_qmle(x, init: Optional[ArGarchParams] = None,
 
 
 def _sandwich_se(x, params: ArGarchParams) -> dict:
-    """QMLE sandwich standard errors H^-1 S H^-1 by central differences.
+    """QMLE sandwich standard errors H^-1 S H^-1 (Bollerslev & Wooldridge 1992).
 
-    H is the Hessian of the total loglikelihood and S the outer product of
-    per-observation scores, both at the fitted parameters in the original
+    S is the outer product of the exact per-observation scores and H the
+    Hessian of the total loglikelihood, taken as central differences of the
+    summed scores; both at the fitted parameters in the original
     coordinates.  Boundary fits can yield NaN entries; that is reported
     honestly rather than patched.
     """
     theta = params.as_array()
-    d = len(theta)
     h = 1e-4 * np.maximum(np.abs(theta), 1e-2)
-
-    def terms(th):
-        return _loglik_terms(x, *th)
-
-    scores = np.empty((x.size - 1, d))
-    for i in range(d):
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += h[i]
-        tm[i] -= h[i]
-        scores[:, i] = (terms(tp) - terms(tm)) / (2.0 * h[i])
-    s_mat = scores.T @ scores
-
-    def grad(th):
-        g = np.empty(d)
-        for i in range(d):
-            tp, tm = th.copy(), th.copy()
-            tp[i] += h[i]
-            tm[i] -= h[i]
-            g[i] = float(np.sum(terms(tp)) - np.sum(terms(tm))) / (2.0 * h[i])
-        return g
-
-    hess = np.empty((d, d))
-    for i in range(d):
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += h[i]
-        tm[i] -= h[i]
-        hess[:, i] = (grad(tp) - grad(tm)) / (2.0 * h[i])
-    hess = 0.5 * (hess + hess.T)
-
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scores = _scores(x, theta)
+        hess = np.column_stack([_scores(x, theta + e).sum(0) - _scores(x, theta - e).sum(0)
+                                for e in np.diag(h)]) / (2.0 * h)
+        hess = 0.5 * (hess + hess.T)
         hinv = np.linalg.pinv(hess)
-        cov = hinv @ s_mat @ hinv
-        se = np.sqrt(np.diag(cov))
+        se = np.sqrt(np.diag(hinv @ (scores.T @ scores) @ hinv))
     return dict(zip(PARAM_NAMES, (float(s) for s in se)))
 
 

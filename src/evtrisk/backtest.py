@@ -239,24 +239,21 @@ def sliding_backtest(e: ExceedanceSeries, test_len: int,
     )
 
 
-def method_quantile(x, p: float, method: str,
-                    k_alpha_hill: int = K_ALPHA_HILL,
-                    k_alpha_corrected: int = K_ALPHA_CORRECTED,
-                    k_weissman: int = K_WEISSMAN) -> float:
+def method_quantile(x, p: float, method: str) -> float:
     """Level-p quantile of a sample by one of the three tail methods.
 
     A bias correction that turns nonpositive falls back to the plain Hill
     fit carried by the error.
     """
     if method == "hill":
-        fit = hill(x, k_alpha_hill)
-        return weissman_quantile(x, p, k_weissman, fit).value
+        fit = hill(x, K_ALPHA_HILL)
+        return weissman_quantile(x, p, K_WEISSMAN, fit).value
     if method == "corrected":
         try:
-            fit = hill_corrected(x, k_alpha_corrected)
+            fit = hill_corrected(x, K_ALPHA_CORRECTED)
         except NegativeGammaError as err:
             fit = err.fallback
-        return weissman_quantile(x, p, k_weissman, fit).value
+        return weissman_quantile(x, p, K_WEISSMAN, fit).value
     if method == "empirical":
         return empirical_quantile(x, p)
     raise ValueError(f"unknown quantile method {method!r}")
@@ -286,7 +283,6 @@ class UncondRollResult:
     forecasts: dict
     counts: dict
     daily: dict
-    daily_forecasts: dict
     daily_start: int
 
     def mean_count(self, method: str, test_len: int) -> float:
@@ -321,15 +317,12 @@ def roll_unconditional(r, window: int = 2000, step: int = 250, p: float = 0.99,
 
     p_exc = 1.0 - p
     daily = {}
-    daily_forecasts = {}
     for m in methods:
         fc = np.repeat(forecasts[m], step)
-        realized = x[window:window + fc.size]
-        daily_forecasts[m] = fc
-        daily[m] = exceedances(realized, fc, p_exc)
+        daily[m] = exceedances(x[window:window + fc.size], fc, p_exc)
     return UncondRollResult(window=window, step=step, p=p, starts=starts,
                             forecasts=forecasts, counts=counts, daily=daily,
-                            daily_forecasts=daily_forecasts, daily_start=window)
+                            daily_start=window)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +347,7 @@ class CondRollResult:
 
 
 def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
-                     methods=METHODS, compute_se: bool = False) -> CondRollResult:
+                     methods=METHODS) -> CondRollResult:
     """Daily AR(1)-GARCH(1,1) refits with day-ahead conditional quantiles.
 
     For each day t (stepped by `step`) the model is fit by QMLE on the
@@ -376,7 +369,7 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
     for j, t in enumerate(fit_days):
         xwin = x[t - window + 1:t + 1]
         try:
-            fitted = fit_qmle(xwin, compute_se=compute_se)
+            fitted = fit_qmle(xwin, compute_se=False)
         except (ConvergenceError, EstimationError):
             if prev_params is None:
                 raise

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import norm
 
-from .errors import EstimationError
+from .errors import DataError, EstimationError
 
 __all__ = [
     "ExtremalIndexFit",
@@ -74,6 +74,8 @@ def extremal_index_sliding(x, b: int) -> ExtremalIndexFit:
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
+    if not np.isfinite(x).all():
+        raise DataError("non-finite value in extremal index sample")
     if np.ptp(x) == 0:
         raise EstimationError("constant series: extremal index undefined")
     maxima = block_maxima_sliding(x, b)

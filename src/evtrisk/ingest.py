@@ -175,9 +175,9 @@ def load_returns(path, symbol: str = "") -> ReturnSeries:
         if reader.fieldnames is None or not {"date", "value"} <= set(reader.fieldnames):
             raise DataError(f"{path}: expected header with 'date' and 'value'")
         for lineno, row in enumerate(reader, start=2):
-            try:
-                dates.append(np.datetime64(row["date"].strip(), "D"))
-                values.append(float(row["value"]))
+            try:  # a short row leaves its missing cells None: read them as blank
+                dates.append(np.datetime64((row["date"] or "").strip(), "D"))
+                values.append(float(row["value"] or ""))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad row") from exc
     if not dates:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EstimationError, NegativeGammaError
+from .errors import DataError, EstimationError, NegativeGammaError
 
 __all__ = [
     "TailFit",
@@ -80,6 +80,8 @@ def _top_order_stats(x: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     n = len(x)
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    if not np.isfinite(x).all():
+        raise DataError("non-finite value in tail sample")
     part = np.partition(x, n - k - 1)
     return part[n - k:], float(part[n - k - 1])
 
@@ -173,7 +175,12 @@ def weissman_quantile(x, p: float, k: int, fit: TailFit) -> QuantileEstimate:
     if anchor <= 0:
         raise EstimationError(f"anchor order statistic X_(n-k) = {anchor} must be positive")
     n = len(x)
-    value = anchor * (k / (n * (1.0 - p))) ** (1.0 / fit.alpha)
+    try:
+        value = anchor * (k / (n * (1.0 - p))) ** (1.0 / fit.alpha)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise EstimationError(f"extrapolated quantile overflows at k={k}")
     return QuantileEstimate(p=p, value=float(value), k=k, tail_fit=fit)
 
 
@@ -182,6 +189,8 @@ def empirical_quantile(x, p: float) -> float:
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DataError("non-finite value in quantile sample")
     n = len(x)
     # nextafter guards products that land one ulp above an exact integer
     idx = int(math.ceil(np.nextafter(n * p, 0)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import evtrisk as ev
+from evtrisk.argarch import _gaussian_terms, _recursion, _scores
 from evtrisk.errors import EstimationError
 
 UNIT_PARAMS = ev.ArGarchParams(mu=0.0, phi=0.0, omega=1.0, a=0.0, b_coef=0.0)
@@ -146,3 +147,41 @@ def test_residual_whiteness_on_sp500(sp500_fit):
     band = 3.0 / np.sqrt(len(fit.resid))
     assert np.all(np.abs(ev.acf(fit.resid, 20)) < band)
     assert np.all(np.abs(ev.acf(fit.resid ** 2, 20)) < band)
+
+
+def _central_difference_scores(x, theta):
+    """Per-observation loglikelihood gradient by central differences."""
+    cols = []
+    for i in range(theta.size):
+        step = np.zeros_like(theta)
+        step[i] = 1e-5 * abs(theta[i])
+        up = _gaussian_terms(*_recursion(x, *(theta + step)))
+        down = _gaussian_terms(*_recursion(x, *(theta - step)))
+        cols.append((up - down) / (2.0 * step[i]))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("at_fit", [True, False])
+def test_exact_scores_match_central_differences(at_fit):
+    truth = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
+    x = ev.sim_argarch(truth, 2000, 11, innovation="student_t", df=5.0)
+    theta = (ev.fit_qmle(x, compute_se=False).params.as_array() if at_fit
+             else np.array([0.1, -0.2, 0.05, 0.15, 0.7]))
+    got = _scores(x, theta)
+    want = _central_difference_scores(x, theta)
+    assert got.shape == (x.size - 1, 5)
+    # relative error of each score column, measured in the column norm
+    rel = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert np.all(rel < 1e-6), rel
+
+
+def test_sandwich_se_matches_frozen_reference():
+    # SEs of the nested finite-difference sandwich that preceded exact scores
+    frozen = {"mu": 0.01638594505692868, "phi": 0.023945081863470583,
+              "omega": 0.004440900954601064, "a": 0.016070515269789958,
+              "b_coef": 0.017149971259380618}
+    truth = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
+    x = ev.sim_argarch(truth, 2000, 11, innovation="student_t", df=5.0)
+    se = ev.fit_qmle(x).se
+    for name, want in frozen.items():
+        assert se[name] == pytest.approx(want, rel=1e-4)

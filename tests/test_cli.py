@@ -65,6 +65,15 @@ def test_malformed_header_exits_1(tmp_path, capsys, content):
     assert err.startswith("error:") and "\n" not in err
 
 
+def test_short_return_row_exits_1(tmp_path, capsys):
+    bad = tmp_path / "short.csv"
+    bad.write_text("date,value\n2020-01-01,0.1\n2020-01-02\n")
+    code = _run("acf", "--input", bad, "--out-dir", tmp_path / "o")
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+
+
 def test_domain_error_exits_1(pareto_csv, tmp_path, capsys):
     code = _run("theta", "--input", pareto_csv, "--out-dir", tmp_path)
     assert code == 1  # neither --block-size nor --block-grid given

@@ -61,6 +61,17 @@ def test_load_returns_rejects_blank_date_and_non_finite_value(tmp_path, row, mat
         ev.load_returns(p)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("date,value\n2020-01-01,0.1\n2020-01-02\n", ":3: bad row"),  # no value cell
+    ("value,date\n0.1,2020-01-01\n-0.2\n", "missing date"),  # no date cell
+])
+def test_load_returns_short_row_is_a_data_error(tmp_path, text, match):
+    p = tmp_path / "r.csv"
+    p.write_text(text)
+    with pytest.raises(DataError, match=match):
+        ev.load_returns(p)
+
+
 def test_series_constructors_reject_missing_dates():
     dates = DATES[:3].copy()
     dates[1] = np.datetime64("NaT")

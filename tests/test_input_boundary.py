@@ -1,0 +1,117 @@
+"""Input boundary: estimators refuse non-finite data, and the CLI answers
+any malformed file with exit 0, or with exit 1 and a single `error:` line."""
+
+import contextlib
+import io
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import evtrisk as ev
+from evtrisk.cli import main
+from evtrisk.errors import DataError
+
+CLEAN = ev.sim_pareto(3.0, 1000, 0)
+CLEAN_FIT = ev.hill(CLEAN, 50)
+ESTIMATORS = {
+    "hill": lambda x: ev.hill(x, 50),
+    "hill_corrected": lambda x: ev.hill_corrected(x, 50),
+    "weissman_quantile": lambda x: ev.weissman_quantile(x, 0.999, 50, CLEAN_FIT),
+    "pareto_qq_points": lambda x: ev.pareto_qq_points(x, 50),
+    "empirical_quantile": lambda x: ev.empirical_quantile(x, 0.99),
+    "extremal_index_sliding": lambda x: ev.extremal_index_sliding(x, 20),
+    "chi_hat": lambda x: ev.chi_hat(x, np.roll(x, 1), 50),
+    "chi_hat_second_margin": lambda x: ev.chi_hat(np.roll(x, 1), x, 50),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+def test_estimators_refuse_non_finite_input(name, bad):
+    x = CLEAN.copy()
+    ESTIMATORS[name](x)  # the clean sample is accepted
+    x[0] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        ESTIMATORS[name](x)
+
+
+# cells a malformed return or price file is built from
+CELLS = st.one_of(
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "NaT", "x", "0", "-1",
+                     "2020-01-01", "2020-02-30", "1e400", "\"", "date", "value"]),
+    st.dates().map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=6),
+)
+HEADERS = st.one_of(
+    st.sampled_from(["date,value", "value,date", "Date,Close", "date,close,value",
+                     "date", "", "a,b"]),
+    st.lists(st.text(max_size=6), max_size=3).map(",".join),
+)
+
+
+@st.composite
+def malformed_csv(draw):
+    """A well-formed return or price file of up to 40 rows, then corrupted."""
+    prices = draw(st.booleans())
+    start = draw(st.dates(min_value=date(1950, 1, 1), max_value=date(2050, 1, 1)))
+    values = draw(st.lists(st.floats(0.01, 1e3) if prices else st.floats(-10.0, 10.0),
+                           max_size=40))
+    rows = [[str(start + timedelta(days=i)), repr(v)] for i, v in enumerate(values)]
+    header = "Date,Close" if prices else "date,value"
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["header", "cell", "drop", "extra", "repeat"]))
+        if kind == "header":
+            header = draw(HEADERS)
+            continue
+        if not rows:
+            continue
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "extra" or not row:
+            row.append(draw(CELLS))
+        elif kind == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(CELLS)
+        elif kind == "drop":
+            row.pop(draw(st.integers(0, len(row) - 1)))
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+    return "\n".join([header, *(",".join(r) for r in rows)]) + "\n"
+
+
+# every subcommand that reads an input file, with small sizes so it is fast
+SUBCOMMANDS = [
+    ["tail", "--k-alpha", "3", "--p", "0.99", "--k", "3", "--k-grid", "2:4:1"],
+    ["theta", "--block-size", "3"],
+    ["decluster", "--method", "weekday", "--weekday", "Mon"],
+    ["decluster", "--method", "gap", "--gap-days", "2"],
+    ["garch", "--forecast"],
+    ["backtest-uncond", "--window", "5", "--step", "2", "--test-len", "2",
+     "--methods", "empirical"],
+    ["backtest-cond", "--window", "5", "--test-len", "2"],
+    ["acf", "--max-lag", "2"],
+]
+
+
+# derandomized so every run of the suite draws the same 50 files
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(text=malformed_csv())
+def test_cli_contract_on_malformed_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        runs = [[*argv, "--input", str(path)] for argv in SUBCOMMANDS]
+        runs.append(["chi", "--pair", str(path), str(path), "--k", "3"])
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, "--out-dir", str(Path(tmp) / "out")])
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert not lines, argv
+            else:
+                assert code == 1, argv
+                assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)

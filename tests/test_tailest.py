@@ -140,3 +140,10 @@ def test_tail_fit_ci_attachment():
     assert with_ci.ci == (0.5, 2.0, 0.9)
     assert fit.ci is None
     assert with_ci.gamma == fit.gamma
+
+
+def test_weissman_overflow_is_an_estimation_error():
+    # three equal top values over a tiny threshold give gamma near 583
+    x = np.array([5e-254, 1.0, 1.0, 1.0])
+    with pytest.raises(EstimationError, match="overflows"):
+        ev.weissman_quantile(x, 0.99, 3, ev.hill(x, 3))
