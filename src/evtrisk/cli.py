@@ -43,11 +43,7 @@ TAIL_METHODS = {"hill": STANDARD_HILL, "corrected": CORRECTED_HILL, "qq": QQ_REG
 
 
 def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _load_series(path: str) -> ReturnSeries:
@@ -72,30 +68,13 @@ def _load_series(path: str) -> ReturnSeries:
     return to_returns(prices)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _dump_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True,
-                               default=_json_default) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _emit(args, report: dict, plots: dict = None, extra_outputs=()) -> None:
-    """Write the JSON report, plot CSVs and a run manifest under --out-dir."""
+def _emit(args, report: dict, plots: dict = None, series: dict = None) -> None:
+    """Write the JSON report, plot CSVs, the `series` ({output path: ReturnSeries})
+    and a run manifest under --out-dir: the one place the CLI writes files."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = args.command.replace("-", "_")
@@ -107,9 +86,14 @@ def _emit(args, report: dict, plots: dict = None, extra_outputs=()) -> None:
     outputs = [report_path.name]
     for name, (header, rows) in (plots or {}).items():
         plot_path = out_dir / f"{prefix}_{name}.csv"
-        _write_csv(plot_path, header, rows)
+        with open(plot_path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
         outputs.append(plot_path.name)
-    outputs.extend(extra_outputs)
+    for name, r in (series or {}).items():
+        series_path = out_dir / name
+        series_path.parent.mkdir(parents=True, exist_ok=True)
+        r.write_csv(series_path)
+        outputs.append(name)
 
     flags = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
     inputs = {}
@@ -226,18 +210,15 @@ def _cmd_decluster(args) -> None:
             raise ValueError("--gap-days is required with --method gap")
         kept = rank_gap_decluster(r, args.gap_days)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    retained = out_dir / "decluster_retained.csv"
-    kept.write_csv(retained)
+    retained = "decluster_retained.csv"
     report = {"input": args.input, "method": args.method, "n": len(r),
               "kept": len(kept), "removed": len(r) - len(kept),
-              "retained_csv": retained.name}
+              "retained_csv": retained}
     if args.method == "weekday":
         report["weekday"] = args.weekday
     else:
         report["gap_days"] = args.gap_days
-    _emit(args, report, extra_outputs=[retained.name])
+    _emit(args, report, series={retained: kept})
 
 
 def _cmd_garch(args) -> None:
@@ -250,22 +231,18 @@ def _cmd_garch(args) -> None:
                    "a": p.a, "b_coef": p.b_coef},
         "se": fitted.se, "loglik": fitted.loglik, "flags": list(fitted.flags),
     }
-    extra = []
+    series = {}
     if args.filter_out:
-        resid_series = ReturnSeries(dates=r.dates[1:], values=fitted.resid,
-                                    symbol=r.symbol)
-        out_path = Path(args.out_dir) / args.filter_out
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        resid_series.write_csv(out_path)
+        series[args.filter_out] = ReturnSeries(dates=r.dates[1:], values=fitted.resid,
+                                               symbol=r.symbol)
         report["filter_out"] = args.filter_out
-        extra.append(args.filter_out)
     if args.forecast:
         rq = method_quantile(fitted.resid, args.p, args.resid_method)
         fc = forecast_next(fitted, float(r.values[-1]), rq)
         report["forecast"] = {"p": args.p, "resid_method": args.resid_method,
                               "resid_quantile": rq, "mu_next": fc.mu_next,
                               "sigma_next": fc.sigma_next, "quantile": fc.quantile}
-    _emit(args, report, extra_outputs=extra)
+    _emit(args, report, series=series)
 
 
 def _sliding_tests(exceedances_by_method: dict, test_lens, level: float) -> dict:
@@ -378,18 +355,16 @@ def _cmd_sim(args) -> None:
     dates = np.busday_offset(np.datetime64("2000-01-03"), np.arange(args.n),
                              roll="forward")
     series = ReturnSeries(dates=dates, values=values, symbol=f"sim_{args.model}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_name = args.out if args.out else "sim_series.csv"
-    series.write_csv(out_dir / out_name)
     report = {"model": args.model, "n": args.n, "seed": args.seed,
               "params": model_desc, "out": out_name}
-    _emit(args, report, extra_outputs=[out_name])
+    _emit(args, report, series={out_name: series})
 
 
 def _cmd_acf(args) -> None:
     r = _load_series(args.input)
-    x = r.values
+    # an exact power-of-two scale changes no autocorrelation and keeps x ** 2 finite
+    x = np.ldexp(r.values, -np.frexp(np.max(np.abs(r.values)))[1])
     lags = np.arange(1, args.max_lag + 1)
     raw = acf(x, args.max_lag)
     squared = acf(x ** 2, args.max_lag)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class PriceSeries:
         if self.dates.shape != self.prices.shape:
             raise DataError("dates and prices must have equal length")
         if len(self.prices) < 2:
-            raise DataError("need at least 2 prices")
+            raise DataError(f"need at least 2 prices in {self.symbol!r}")
         if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0):
             raise DataError(f"non-positive or non-finite price in {self.symbol!r}")
         _check_dates_increasing(self.dates, f"prices {self.symbol!r}")
@@ -88,7 +89,7 @@ class ReturnSeries:
         if self.dates.shape != self.values.shape:
             raise DataError("dates and values must have equal length")
         if len(self.values) == 0:
-            raise DataError("empty return series")
+            raise DataError(f"empty return series {self.symbol!r}")
         if not np.all(np.isfinite(self.values)):
             raise DataError(f"non-finite return in {self.symbol!r}")
         _check_dates_increasing(self.dates, f"returns {self.symbol!r}")
@@ -127,6 +128,43 @@ class PairedReturns:
         return len(self.dates)
 
 
+def _read_columns(path, date_col: str, value_col: str):
+    """Date and value columns of a CSV file with a header row.
+
+    Rows blank in both cells are skipped and missing cells read as blank; any
+    other row that does not parse is a DataError naming its physical line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, header row required")
+        missing = {date_col, value_col} - set(header)
+        if missing:
+            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+        get = itemgetter(header.index(date_col), header.index(value_col))
+        try:  # blank lines dropped; the header makes both columns exist
+            dates, values = zip(get(header), *map(get, filter(None, reader)))
+            return (np.array(dates[1:], dtype="datetime64[D]"),
+                    np.array(values[1:], dtype=float))
+        except (IndexError, ValueError):
+            pass
+        # a short row or a cell NumPy refuses: strip, skip blank rows, name the bad one
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        dates, values = [], []
+        for row in reader:
+            d, v = (cell.strip() for cell in get(row + [""] * len(header)))
+            if d or v:
+                try:
+                    dates.append(np.datetime64(d, "D"))
+                    values.append(float(v))
+                except ValueError:
+                    raise DataError(f"{path}:{reader.line_num}: bad row {row!r}") from None
+    return np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=float)
+
+
 def load_prices(path, date_col: str = "Date", price_col: str = "Close",
                 symbol: str = "") -> PriceSeries:
     """Load a price CSV with a header row and ISO-8601 dates.
@@ -134,56 +172,14 @@ def load_prices(path, date_col: str = "Date", price_col: str = "Close",
     Rows are sorted by date.  Duplicate dates and non-positive prices are
     hard errors rather than silently repaired.
     """
-    dates: list = []
-    prices: list = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, header row required")
-        missing = {date_col, price_col} - set(reader.fieldnames)
-        if missing:
-            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            raw_date = (row[date_col] or "").strip()
-            raw_price = (row[price_col] or "").strip()
-            if not raw_date and not raw_price:
-                continue
-            try:
-                d = np.datetime64(raw_date, "D")
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad date {raw_date!r}") from exc
-            try:
-                p = float(raw_price)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad price {raw_price!r}") from exc
-            dates.append(d)
-            prices.append(p)
-    if len(dates) < 2:
-        raise DataError(f"{path}: need at least 2 parseable rows")
-    order = np.argsort(np.asarray(dates, dtype="datetime64[D]"), kind="stable")
-    name = symbol or str(path)
-    return PriceSeries(np.asarray(dates, dtype="datetime64[D]")[order],
-                       np.asarray(prices, dtype=float)[order], name)
+    dates, prices = _read_columns(path, date_col, price_col)
+    order = np.argsort(dates, kind="stable")
+    return PriceSeries(dates[order], prices[order], symbol or str(path))
 
 
 def load_returns(path, symbol: str = "") -> ReturnSeries:
     """Load a return CSV written by :meth:`ReturnSeries.write_csv` (date,value)."""
-    dates: list = []
-    values: list = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"date", "value"} <= set(reader.fieldnames):
-            raise DataError(f"{path}: expected header with 'date' and 'value'")
-        for lineno, row in enumerate(reader, start=2):
-            try:  # a short row leaves its missing cells None: read them as blank
-                dates.append(np.datetime64((row["date"] or "").strip(), "D"))
-                values.append(float(row["value"] or ""))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad row") from exc
-    if not dates:
-        raise DataError(f"{path}: no rows")
-    return ReturnSeries(np.asarray(dates, dtype="datetime64[D]"),
-                        np.asarray(values, dtype=float), symbol or str(path))
+    return ReturnSeries(*_read_columns(path, "date", "value"), symbol or str(path))
 
 
 def to_returns(p: PriceSeries, scale: float = 100.0) -> ReturnSeries:
@@ -215,6 +211,10 @@ def acf(x, max_lag: int) -> np.ndarray:
         raise ValueError("max_lag must be >= 1")
     if n <= max_lag:
         raise ValueError(f"series length {n} must exceed max_lag {max_lag}")
+    if not np.isfinite(x).all():
+        raise DataError("non-finite value in acf sample")
+    # an exact power-of-two scale keeps centered @ centered finite
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
     centered = x - x.mean()
     denom = float(centered @ centered)
     if denom == 0.0:

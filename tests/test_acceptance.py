@@ -73,6 +73,7 @@ def test_criterion_06_declustering_sizes(sp500_returns):
     assert sizes == [2977, 3189, 3179, 3140, 3120]
 
 
+@pytest.mark.slow
 def test_criterion_07_simulated_declustering_theta(declustering_theta_study):
     means, elapsed = declustering_theta_study
     assert means["raw"] == pytest.approx(0.212, abs=0.05)
@@ -143,6 +144,7 @@ def test_criterion_11_tail_dependence(sp500_returns, djia_returns, ftse_returns)
         assert raw_lo <= res_hi and res_lo <= raw_hi  # 90% CIs overlap
 
 
+@pytest.mark.slow
 def test_criterion_12_property_suites(pareto_hill_means, frechet_hill_means,
                                       theta_iid_coverage, duplication_thetas,
                                       coverage_test_sizes, bootstrap_coverage,

@@ -75,6 +75,7 @@ def test_fit_recovers_simulated_params(garch_truth):
     assert all(s > 0 for s in fit.se.values())
 
 
+@pytest.mark.slow
 def test_fit_unbiased_across_seeds(garch_recovery, garch_truth):
     mean_params, mean_ses = garch_recovery
     for got, se, want in zip(mean_params, mean_ses, garch_truth.as_array()):

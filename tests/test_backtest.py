@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 import evtrisk as ev
+from evtrisk import backtest
 
 
 def _lr_uc_direct(n1, n, p):
@@ -87,11 +88,13 @@ def test_cc_is_exact_sum_of_uc_and_ind():
         assert max(rep.p_uc, rep.p_ind, rep.p_cc) <= 1.0
 
 
+@pytest.mark.slow
 def test_uc_cc_monte_carlo_size(coverage_test_sizes):
     assert coverage_test_sizes["uc"] == pytest.approx(0.05, abs=0.02)
     assert coverage_test_sizes["cc"] == pytest.approx(0.05, abs=0.02)
 
 
+@pytest.mark.slow
 def test_ind_monte_carlo_size(coverage_test_sizes):
     # where its chi-square null approximation holds, IND is well sized
     assert coverage_test_sizes["ind_p20"] == pytest.approx(0.05, abs=0.02)
@@ -183,6 +186,7 @@ def test_roll_unconditional_iid_exceedance_rate():
         assert 1.5 <= res.mean_count(m, 250) <= 3.5  # nominal 2.5
 
 
+@pytest.mark.slow
 def test_roll_conditional_structure_and_determinism():
     truth = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
     x = ev.sim_argarch(truth, 1220, 16)
@@ -197,3 +201,47 @@ def test_roll_conditional_structure_and_determinism():
     again = ev.roll_conditional(x, window=1000, step=10, p=0.99,
                                 methods=("empirical",))
     np.testing.assert_array_equal(fc, again.forecasts["empirical"])
+
+
+def test_roll_conditional_refit_failure_reuses_previous_params(monkeypatch):
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 303, 21)
+    real_fit, fits = backtest.fit_qmle, []
+
+    def fit_failing_on_day_2(xwin, **kwargs):
+        if len(fits) == 1:
+            fits.append(None)
+            raise ev.ConvergenceError("forced failure")
+        fits.append(real_fit(xwin, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(backtest, "fit_qmle", fit_failing_on_day_2)
+    res = ev.roll_conditional(x, window=300, step=1, p=0.99, methods=("empirical",))
+    np.testing.assert_array_equal(res.days, [300, 301, 302])
+    assert res.refit_failures.tolist() == [301]
+    filtered = ev.filter_series(x[1:301], fits[0].params)  # day 1's params on day 2's window
+    base = ev.forecast_next(filtered, x[300])
+    rq = ev.method_quantile(filtered.resid, 0.99, "empirical")
+    assert res.forecasts["empirical"][1] == base.mu_next + base.sigma_next * rq
+    assert len(fits) == 3 and fits[2] is not None  # day 3 refits as usual
+
+
+def test_roll_conditional_failure_on_first_day_raises(monkeypatch):
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 303, 21)
+
+    def fit_failing(xwin, **kwargs):
+        raise ev.ConvergenceError("forced failure")
+
+    monkeypatch.setattr(backtest, "fit_qmle", fit_failing)
+    with pytest.raises(ev.ConvergenceError, match="forced failure"):
+        ev.roll_conditional(x, window=300, step=1, p=0.99, methods=("empirical",))
+
+
+def test_method_quantile_corrected_falls_back_to_plain_hill():
+    # the top 200 log-excesses all equal log(e) - log(1) = 1, so M2 = M1**2
+    # and the corrected index is exactly zero
+    x = np.r_[np.linspace(0.5, 1.0, 1800), np.full(200, np.e)]
+    with pytest.raises(ev.NegativeGammaError) as info:
+        ev.hill_corrected(x, backtest.K_ALPHA_CORRECTED)
+    fallback = info.value.fallback
+    want = ev.weissman_quantile(x, 0.99, backtest.K_WEISSMAN, fallback).value
+    assert ev.method_quantile(x, 0.99, "corrected") == want

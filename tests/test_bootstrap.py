@@ -66,6 +66,7 @@ def test_percentile_ci_is_reproducible():
     assert ev.percentile_ci(x, stat, spec) == ev.percentile_ci(x, stat, spec)
 
 
+@pytest.mark.slow
 def test_hill_ci_coverage_near_nominal(bootstrap_coverage):
     assert bootstrap_coverage == pytest.approx(0.90, abs=0.05)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -289,3 +290,64 @@ def test_price_csv_is_accepted(tmp_path):
     assert _run("acf", "--input", csv_path, "--max-lag", 5,
                 "--out-dir", out) == 0
     assert _read_json(out / "acf_report.json")["n"] == 399
+
+
+# at 1.28e77 the sum of squares of x ** 2 overflowed; at 1e200 x ** 2 itself does
+@pytest.mark.parametrize("big", ["1.28e77", "1e200"])
+def test_acf_of_huge_returns_is_exact_and_quiet(tmp_path, capsys, big):
+    path = tmp_path / "huge.csv"
+    dates = np.arange("2020-01-01", "2020-01-11", dtype="datetime64[D]")
+    path.write_text("date,value\n" + "".join(
+        f"{d},{v}\n" for d, v in zip(dates, [big] + ["0"] * 9)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run("acf", "--input", path, "--max-lag", 2, "--out-dir", tmp_path / "o")
+    assert code == 0 and capsys.readouterr().err == ""
+    report = _read_json(tmp_path / "o" / "acf_report.json")
+    assert report["max_abs_acf"] == pytest.approx(2 / 90, rel=1e-12)
+    assert report["max_abs_acf_squared"] == pytest.approx(2 / 90, rel=1e-12)
+
+
+def test_sim_dup_writes_the_duplicated_series(tmp_path):
+    out = tmp_path / "dup"
+    assert _run("sim", "--model", "dup", "--alpha", 1.5, "--m", 3, "--n", 300,
+                "--seed", 5, "--out-dir", out) == 0
+    want = ev.sim_duplicated(lambda count, seed: ev.sim_frechet(1.5, count, seed),
+                             3, 300, 5)
+    np.testing.assert_array_equal(ev.load_returns(out / "sim_series.csv").values, want)
+    report = _read_json(out / "sim_report.json")
+    assert report["params"] == {"alpha": 1.5, "m": 3, "base": "frechet"}
+    assert _read_json(out / "sim_manifest.json")["outputs"] == [
+        "sim_report.json", "sim_series.csv"]
+
+
+def test_chi_residuals_match_library_calls(argarch_csv, tmp_path):
+    other = tmp_path / "gen2"
+    assert _run("sim", "--model", "argarch", "--mu", 0.0, "--phi", 0.05,
+                "--omega", 0.02, "--a", 0.08, "--b", 0.9, "--n", 1200,
+                "--seed", 4, "--out", "other.csv", "--out-dir", other) == 0
+    out = tmp_path / "chi"
+    assert _run("chi", "--pair", argarch_csv, other / "other.csv", "--k", 60,
+                "--residuals", "--out-dir", out) == 0
+    report = _read_json(out / "chi_report.json")
+    pair = ev.residual_pair(ev.align_pairs(ev.load_returns(argarch_csv),
+                                           ev.load_returns(other / "other.csv")))
+    assert report["residuals"] is True
+    assert report["n"] == len(pair) == 1199
+    assert report["chi"] == ev.chi_hat(pair.values_a, pair.values_b, 60).chi
+
+
+def test_manifests_list_series_outputs(argarch_csv, tmp_path):
+    assert _read_json(argarch_csv.parent / "sim_manifest.json")["outputs"] == [
+        "garch.csv", "sim_report.json"]
+    out = tmp_path / "dec"
+    assert _run("decluster", "--input", argarch_csv, "--method", "gap",
+                "--gap-days", 5, "--out-dir", out) == 0
+    assert _read_json(out / "decluster_manifest.json")["outputs"] == [
+        "decluster_report.json", "decluster_retained.csv"]
+    out = tmp_path / "garch"
+    assert _run("garch", "--input", argarch_csv, "--filter-out", "sub/resid.csv",
+                "--out-dir", out) == 0
+    assert _read_json(out / "garch_manifest.json")["outputs"] == [
+        "garch_report.json", "sub/resid.csv"]
+    assert len(ev.load_returns(out / "sub" / "resid.csv")) == 1200 - 1

@@ -38,6 +38,7 @@ def test_duplicated_series_theta_inverse_m(duplication_thetas):
         assert theta == pytest.approx(1.0 / m, abs=0.05)
 
 
+@pytest.mark.slow
 def test_iid_ci_coverage(theta_iid_coverage):
     assert theta_iid_coverage >= 0.90
 

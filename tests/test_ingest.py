@@ -1,5 +1,7 @@
 """Price/return ingestion, alignment, and autocorrelation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,39 @@ def test_load_returns_short_row_is_a_data_error(tmp_path, text, match):
     p.write_text(text)
     with pytest.raises(DataError, match=match):
         ev.load_returns(p)
+
+
+@pytest.mark.parametrize("load, header", [(ev.load_prices, "Date,Close"),
+                                          (ev.load_returns, "date,value")])
+def test_bad_row_error_names_the_physical_line(tmp_path, load, header):
+    p = tmp_path / "x.csv"
+    p.write_text(header + "\n2020-01-01,100\n\n2020-01-03,x\n")
+    with pytest.raises(DataError, match=r"x\.csv:4: bad row \['2020-01-03', 'x'\]"):
+        load(p)
+
+
+@pytest.mark.parametrize("load, header", [(ev.load_prices, "Date,Close"),
+                                          (ev.load_returns, "date,value")])
+def test_rows_blank_in_both_cells_are_skipped(tmp_path, load, header):
+    p = tmp_path / "x.csv"
+    p.write_text(header + "\n2020-01-01,1.5\n,\n\n , \n 2020-01-02 , 2.5 \n")
+    series = load(p)
+    np.testing.assert_array_equal(series.dates, DATES[:2])
+    values = series.prices if load is ev.load_prices else series.values
+    np.testing.assert_array_equal(values, [1.5, 2.5])
+
+
+@pytest.mark.parametrize("load, text, match", [
+    (ev.load_returns, "", "empty file"),
+    (ev.load_returns, "date,val\n2020-01-01,0.1\n", r"missing column\(s\) \['value'\]"),
+    (ev.load_returns, "date,value\n\n,\n", r"empty return series '.*x\.csv'"),
+    (ev.load_prices, "Date,Close\n2020-01-01,100\n", r"need at least 2 prices in '.*x\.csv'"),
+])
+def test_loaders_refuse_files_without_header_or_rows(tmp_path, load, text, match):
+    p = tmp_path / "x.csv"
+    p.write_text(text)
+    with pytest.raises(DataError, match=match):
+        load(p)
 
 
 def test_series_constructors_reject_missing_dates():
@@ -162,3 +197,14 @@ def test_acf_of_persistent_series_is_positive():
     rng = np.random.default_rng(3)
     x = np.cumsum(rng.normal(size=1000))
     assert ev.acf(x, 1)[0] > 0.9
+
+
+def test_acf_is_exact_for_huge_values_and_refuses_non_finite():
+    spike = np.r_[1.28e77, np.zeros(9)] ** 2  # centered @ centered overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ev.acf(spike, 2)
+    np.testing.assert_allclose(got, [-1 / 90, -2 / 90], rtol=1e-12)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError, match="non-finite"):
+            ev.acf(np.r_[bad, np.zeros(9)], 2)

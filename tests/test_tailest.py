@@ -76,11 +76,13 @@ def test_degenerate_correction_carries_fallback():
     assert exc.value.fallback.gamma == ev.hill(x, 2).gamma
 
 
+@pytest.mark.slow
 def test_pareto_consistency(pareto_hill_means):
     for alpha, mean_alpha in pareto_hill_means.items():
         assert abs(mean_alpha - alpha) / alpha < 0.05
 
 
+@pytest.mark.slow
 def test_correction_reduces_frechet_bias(frechet_hill_means):
     plain, corrected = frechet_hill_means
     assert abs(corrected - 2.0) < abs(plain - 2.0)
