@@ -31,6 +31,13 @@ __all__ = [
 ]
 
 
+# Dates a daily series can hold: none before 1800, and four-digit years, which
+# leave room for the synthetic business-day calendar of `sim` from 2000.  A
+# year outside them is a typo, or wrapped NumPy's int64 day count and would
+# sort as some other date.
+_DATE_RANGE = (np.datetime64("1800-01-01"), np.datetime64("9999-12-31"))
+
+
 def _as_dates(dates) -> np.ndarray:
     return np.asarray(dates, dtype="datetime64[D]")
 
@@ -38,6 +45,10 @@ def _as_dates(dates) -> np.ndarray:
 def _check_dates_increasing(dates: np.ndarray, what: str) -> None:
     if np.any(np.isnat(dates)):
         raise DataError(f"missing date in {what}")
+    outside = (dates < _DATE_RANGE[0]) | (dates > _DATE_RANGE[1])
+    if np.any(outside):
+        raise DataError(f"date {dates[np.argmax(outside)]} outside "
+                        f"{_DATE_RANGE[0]}..{_DATE_RANGE[1]} in {what}")
     if len(dates) >= 2:
         diffs = np.diff(dates.astype("int64"))
         if np.any(diffs == 0):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import evtrisk as ev
-from evtrisk.argarch import _gaussian_terms, _recursion, _scores
+from evtrisk.argarch import _gaussian_terms, _neg_loglik, _pack, _recursion, _scores
 from evtrisk.errors import EstimationError
 
+GARCH_TRUTH = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
 UNIT_PARAMS = ev.ArGarchParams(mu=0.0, phi=0.0, omega=1.0, a=0.0, b_coef=0.0)
 
 
@@ -186,3 +187,58 @@ def test_sandwich_se_matches_frozen_reference():
     se = ev.fit_qmle(x).se
     for name, want in frozen.items():
         assert se[name] == pytest.approx(want, rel=1e-4)
+
+
+NEAR_INTEGRATED = ev.ArGarchParams(0.0, 0.02, 0.002, 0.12, 0.8799999)
+
+# fit_qmle(x, compute_se=False) of the Nelder-Mead simplex that preceded the
+# exact-gradient search: (params, seed, df) -> (loglik, params, flags)
+FROZEN_FITS = [
+    ((GARCH_TRUTH, 21, 5.0), (-2730.4310537676943, [
+        -0.04100403824626312, 0.1281419553864414, 0.012987214523085735,
+        0.1256473133948985, 0.8743516866051014], ("near_igarch",))),
+    ((GARCH_TRUTH, 22, 5.0), (-1978.2670554417361, [
+        -0.03600945260886654, 0.09525367865216369, 0.011733950581159691,
+        0.08780879163518529, 0.891362908588135], ())),
+    ((GARCH_TRUTH, 23, 5.0), (-2570.462117476594, [
+        -0.07911474843129035, 0.053312469198145584, 0.021547399232913753,
+        0.07827702397334846, 0.8983518861702796], ())),
+    ((NEAR_INTEGRATED, 300, 4.0), (-1010.1064734450379, [
+        0.011096887116277442, 0.0364113650384999, 0.00135318008798749,
+        0.1036939127351366, 0.8963050872648635], ("near_igarch",))),
+]
+
+
+@pytest.mark.parametrize("case, frozen", FROZEN_FITS,
+                         ids=["t5-seed21", "t5-seed22", "t5-seed23", "near-integrated"])
+def test_fit_matches_frozen_reference(case, frozen):
+    params, seed, df = case
+    want_loglik, want_params, want_flags = frozen
+    x = ev.sim_argarch(params, 2000, seed, innovation="student_t", df=df)
+    fit = ev.fit_qmle(x, compute_se=False)
+    # tolerances: no loss of loglik beyond 1e-8; each param within 1e-4 absolute
+    assert fit.loglik >= want_loglik - 1e-8
+    np.testing.assert_allclose(fit.params.as_array(), want_params, rtol=0, atol=1e-4)
+    assert fit.flags == want_flags
+    if want_flags:  # the persistence sits at the clamp
+        assert fit.params.persistence == pytest.approx(1.0 - 1e-6, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("point", ["fit", "off-optimum", "past-clamp"])
+def test_neg_loglik_gradient_matches_central_differences(point):
+    x = ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0)
+    if point == "fit":
+        z = _pack(ev.fit_qmle(x, compute_se=False).params)
+    else:
+        z = _pack(ev.ArGarchParams(0.1, -0.2, 0.05, 0.15, 0.7))
+        if point == "past-clamp":
+            z[3] = 20.0  # expit(20) > 1 - 1e-6
+    _, grad = _neg_loglik(z, x)
+    want = np.empty(5)
+    for i in range(5):
+        step = np.zeros(5)
+        step[i] = 1e-5
+        want[i] = (_neg_loglik(z + step, x)[0] - _neg_loglik(z - step, x)[0]) / 2e-5
+    np.testing.assert_allclose(grad, want, rtol=1e-6, atol=1e-6)
+    if point == "past-clamp":
+        assert grad[3] == 0.0

@@ -75,6 +75,16 @@ def test_short_return_row_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and "\n" not in err
 
 
+def test_wrapped_date_exits_1(tmp_path, capsys):
+    bad = tmp_path / "far.csv"
+    bad.write_text("date,value\n2020-01-01,0.1\n99999999999999999999-01-01,0.2\n"
+                   "2020-01-03,0.3\n")
+    code = _run("acf", "--input", bad, "--out-dir", tmp_path / "o")
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "outside" in err and "\n" not in err
+
+
 def test_domain_error_exits_1(pareto_csv, tmp_path, capsys):
     code = _run("theta", "--input", pareto_csv, "--out-dir", tmp_path)
     assert code == 1  # neither --block-size nor --block-grid given

@@ -107,6 +107,23 @@ def test_loaders_refuse_files_without_header_or_rows(tmp_path, load, text, match
         load(p)
 
 
+@pytest.mark.parametrize("load, header", [(ev.load_prices, "Date,Close"),
+                                          (ev.load_returns, "date,value")])
+def test_loaders_refuse_dates_outside_the_plausible_range(tmp_path, load, header):
+    # a 20-digit year wraps NumPy's int64 day count to -11562726299856889-01-17
+    p = tmp_path / "x.csv"
+    p.write_text(header + "\n2020-01-01,100\n99999999999999999999-01-01,101\n"
+                 "2020-01-03,102\n")
+    with pytest.raises(DataError, match=r"date -11562726299856889-01-17 outside"):
+        load(p)
+    p.write_text(header + "\n1799-12-31,100\n1800-01-01,101\n")
+    with pytest.raises(DataError, match=r"date 1799-12-31 outside"):
+        load(p)
+    p.write_text(header + "\n9999-12-31,100\n10000-01-01,101\n")
+    with pytest.raises(DataError, match=r"date 10000-01-01 outside"):
+        load(p)
+
+
 def test_series_constructors_reject_missing_dates():
     dates = DATES[:3].copy()
     dates[1] = np.datetime64("NaT")
