@@ -417,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-size", type=int, help="block size b")
     p.add_argument("--block-grid", help="lo:hi:step sweep of block sizes")
     p.add_argument("--ci", choices=["lik", "boot"], default="lik")
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=float, default=0.95,
+                   help="level of the lik or boot CI (--ci-level is not used)")
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("decluster", parents=[common, inp],

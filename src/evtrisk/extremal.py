@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import norm
 
 from .errors import DataError, EstimationError
@@ -56,12 +55,24 @@ class ExtremalIndexFit:
 
 
 def block_maxima_sliding(x, b: int) -> np.ndarray:
-    """Maxima over all sliding windows of b+1 consecutive points (length n-b)."""
+    """Maxima over all sliding windows of b+1 consecutive points (length n-b).
+
+    O(n) in b (van Herk 1992; Gil & Werman 1993): cut x into blocks of
+    w = b+1 and take running maxima forwards and backwards within each
+    block.  Window i spans at most two blocks, so its maximum is the suffix
+    maximum from i joined with the prefix maximum up to i+b.
+    """
     x = np.asarray(x, dtype=float)
     n = len(x)
     if not 1 < b < n:
         raise ValueError(f"block size must satisfy 1 < b < n, got b={b}, n={n}")
-    return sliding_window_view(x, b + 1).max(axis=1)
+    w = b + 1
+    padded = np.full(-(-n // w) * w, -np.inf)
+    padded[:n] = x
+    blocks = padded.reshape(-1, w)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:n - b], prefix[b:n])
 
 
 def extremal_index_sliding(x, b: int) -> ExtremalIndexFit:
@@ -99,7 +110,8 @@ def theta_ci(fit: ExtremalIndexFit, x, level: float = 0.95,
     theta and forms the loglikelihood (Wald, log scale) interval, deflating
     the sample size to n_eff = (n - b)/b because windows overlap b-fold.
     block_bootstrap re-estimates theta on stationary-bootstrap resamples
-    and takes percentile endpoints.
+    drawn as boot_spec says (default BootstrapSpec()) and takes percentile
+    endpoints at `level`; boot_spec.level is not used.
     """
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -113,12 +125,10 @@ def theta_ci(fit: ExtremalIndexFit, x, level: float = 0.95,
     if method == BLOCK_BOOTSTRAP:
         from .bootstrap import BootstrapSpec, percentile_ci
 
-        if boot_spec is None:
-            boot_spec = BootstrapSpec(replicates=999, mean_block=200.0,
-                                      seed=0, level=level)
+        spec = replace(boot_spec or BootstrapSpec(), level=level)
         b = fit.block_size
         lower, upper, _ = percentile_ci(
-            x, lambda xs: extremal_index_sliding(xs, b).theta, boot_spec)
+            x, lambda xs: extremal_index_sliding(xs, b).theta, spec)
         return lower, upper
     raise ValueError(f"unknown CI method {method!r}")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.stats import rankdata, t as student_t
+from scipy.stats import t as student_t
 
 from .argarch import fit_qmle
 from .bootstrap import BootstrapSpec, _replicate_ci
@@ -64,11 +64,21 @@ def chi_hat(x, y, k: int) -> TailDepFit:
     by k (heavy ties can push the raw ratio past 1).
     """
     x, y = _check_pair(x, y, k)
-    n = x.size
-    rx = rankdata(x, method="average")
-    ry = rankdata(y, method="average")
-    joint = np.sum((rx > n - k) & (ry > n - k))
-    return TailDepFit(chi=float(min(max(joint / k, 0.0), 1.0)), k=k, n=n)
+    joint = np.count_nonzero(_top_k_mask(x, k) & _top_k_mask(y, k))
+    return TailDepFit(chi=float(min(max(joint / k, 0.0), 1.0)), k=k, n=x.size)
+
+
+def _top_k_mask(v, k: int) -> np.ndarray:
+    """Mask of mid-rank(v) > n-k, in O(n) by selection (no full ranking).
+
+    Only the values tied with c, the order statistic at rank n-k+1, need
+    their mid-rank: everything above c ranks past n-k and everything
+    below c does not.
+    """
+    n = v.size
+    c = np.partition(v, n - k)[n - k]
+    mid = np.count_nonzero(v < c) + (np.count_nonzero(v == c) + 1) / 2
+    return v >= c if mid > n - k else v > c
 
 
 def chi_ci(x, y, k: int, spec: BootstrapSpec) -> tuple:

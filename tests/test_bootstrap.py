@@ -95,3 +95,23 @@ def test_failure_budget_aborts_at_twenty_percent():
 
     with pytest.raises(EstimationError):
         ev.percentile_ci(x, fails_on_resamples, spec)
+
+
+def test_ci_endpoints_match_frozen_reference():
+    # frozen from the sliding_window_view maxima and rankdata mid-ranks;
+    # the O(n) kernels must reproduce every endpoint bit for bit
+    params = ev.ArGarchParams(0.0, 0.0, 0.2, 0.15, 0.8)
+    spec = ev.BootstrapSpec(replicates=199, mean_block=100.0, seed=1, level=0.90)
+    x = ev.sim_argarch(params, 3000, 7)
+    theta_frozen = {
+        "raw": (0.4159147120688533, 0.8769655415742513),
+        "rounded": (0.4295527450823575, 0.9179712844489368),
+    }
+    for name, s in (("raw", x), ("rounded", np.round(x, 1))):
+        fit = ev.extremal_index_sliding(s, 100)
+        assert ev.theta_ci(fit, s, level=0.90, method="block_bootstrap",
+                           boot_spec=spec) == theta_frozen[name]
+    a = ev.sim_argarch(params, 3000, 8)
+    b = a + ev.sim_argarch(params, 3000, 9)
+    assert ev.chi_ci(a, b, 100, spec) == (0.34, 0.49, 0.41)
+    assert ev.chi_ci(np.round(a, 1), np.round(b, 1), 100, spec) == (0.33, 0.49, 0.41)

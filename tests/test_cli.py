@@ -196,6 +196,23 @@ def test_theta_single_block_and_sweep(pareto_csv, tmp_path):
     assert len(rows) == 1 + 3
 
 
+def test_theta_bootstrap_ci_is_taken_at_level(pareto_csv, tmp_path):
+    out = tmp_path / "thetaboot"
+    assert _run("theta", "--input", pareto_csv, "--block-size", 100,
+                "--ci", "boot", "--boot-reps", 99, "--out-dir", out) == 0
+    report = _read_json(out / "theta_report.json")
+    x = ev.load_returns(pareto_csv).values
+    fit = ev.extremal_index_sliding(x, 100)
+    spec = ev.BootstrapSpec(replicates=99, mean_block=200.0, seed=0, level=0.95)
+    lo, hi = ev.theta_ci(fit, x, level=0.95, method="block_bootstrap",
+                         boot_spec=spec)
+    assert report["ci"] == {"lower": lo, "upper": hi, "level": 0.95}
+    # the interval at the --ci-level default (0.90) differs
+    narrow = ev.theta_ci(fit, x, level=0.90, method="block_bootstrap",
+                         boot_spec=spec)
+    assert narrow != (lo, hi)
+
+
 def test_decluster_weekday_and_gap(argarch_csv, tmp_path):
     out = tmp_path / "wd"
     assert _run("decluster", "--input", argarch_csv, "--method", "weekday",

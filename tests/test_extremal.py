@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import norm
 
 import evtrisk as ev
@@ -15,6 +16,21 @@ def test_block_maxima_by_hand():
         ev.block_maxima_sliding([1.0, 2.0, 3.0, 4.0], 2), [3.0, 4.0])
     np.testing.assert_array_equal(
         ev.block_maxima_sliding([5.0, 1.0, 1.0, 1.0, 7.0], 3), [5.0, 7.0])
+
+
+@pytest.mark.parametrize("n, b", [(12, 2), (13, 2), (600, 99), (601, 99),
+                                  (600, 599), (17, 16)])
+def test_block_maxima_equal_a_direct_window_max(n, b):
+    rng = np.random.default_rng([n, b])
+    raw = rng.standard_t(3, n)
+    ties = np.round(raw)  # a handful of distinct values
+    signed_inf = raw.copy()
+    signed_inf[rng.choice(n, 3, replace=False)] = [np.inf, -np.inf, -np.inf]
+    all_but_one_neg_inf = np.full(n, -np.inf)
+    all_but_one_neg_inf[n // 2] = 1.0
+    for x in (raw, ties, signed_inf, -np.abs(ties), all_but_one_neg_inf):
+        assert np.array_equal(ev.block_maxima_sliding(x, b),
+                              sliding_window_view(x, b + 1).max(axis=1))
 
 
 def test_block_size_bounds():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 import evtrisk as ev
 
@@ -38,6 +39,27 @@ def test_chi_counts_joint_tail_by_hand():
     x = np.array([1.0, 2.0, 3.0, 9.0, 8.0])
     y = np.array([1.0, 2.0, 9.0, 3.0, 8.0])
     assert ev.chi_hat(x, y, 2).chi == pytest.approx(0.5)
+
+
+def _chi_by_midranks(x, y, k):
+    n = x.size
+    joint = np.sum((rankdata(x, method="average") > n - k)
+                   & (rankdata(y, method="average") > n - k))
+    return float(min(max(joint / k, 0.0), 1.0))
+
+
+@pytest.mark.parametrize("n", [50, 777])
+def test_chi_equals_a_midrank_oracle(n):
+    rng = np.random.default_rng(n)
+    z = rng.standard_t(3, n)
+    x = z + rng.standard_t(3, n)
+    y = z + rng.standard_t(3, n)
+    pairs = [(x, y), (np.round(x, 1), np.round(y, 1)),
+             (np.round(x), np.round(y)), (x, np.full(n, 2.5)),
+             (np.round(x, 1), np.zeros(n))]
+    for u, v in pairs:
+        for k in sorted({1, 2, n // 10, n // 2, n - 2, n - 1}):
+            assert ev.chi_hat(u, v, k).chi == _chi_by_midranks(u, v, k)
 
 
 def test_chi_k_bounds():
