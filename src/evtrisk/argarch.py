@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
-from scipy.signal import lfilter
 from scipy.special import expit, logit
 
 from .errors import ConvergenceError, EstimationError
@@ -98,17 +98,38 @@ class Forecast:
     quantile: Optional[float] = None
 
 
+def _variance_solve(b_coef, rhs, trans="N"):
+    """Solve y_t - b_coef * y_{t-1} = rhs_t for t = 1..n, from y_0 = 0.
+
+    The recursion is a unit lower-bidiagonal linear system, so LAPACK's
+    banded triangular solver runs it, column by column for an (n, k) rhs
+    (column-major, such as drive.T of a (k, n) array, avoids a copy).
+    trans="T" solves the transposed system, the backward recursion
+    y_t = rhs_t + b_coef * y_{t+1} from y_{n+1} = 0.
+    """
+    n = rhs.shape[0]
+    ab = np.empty((2, n), order="F")
+    ab[0] = 1.0
+    ab[1] = -b_coef
+    y, info = dtbtrs(ab, rhs.reshape(n, -1), uplo="L", trans=trans, diag="U")
+    if info != 0:
+        raise EstimationError(f"banded variance solve failed (LAPACK info {info})")
+    return y.reshape(rhs.shape)
+
+
 def _recursion(x, mu, phi, omega, a, b_coef):
-    """Innovations a_t and conditional variances sigma_t^2 for t = 2..n."""
+    """Innovations a_t and conditional variances sigma_t^2 for t = 2..n.
+
+    sigma2_t = u_t + b_coef * sigma2_{t-1} is linear in sigma2: one banded
+    solve, with the start term b_coef * sigma_1^2 folded into the first u_t.
+    """
     innov = x[1:] - mu - phi * x[:-1]
     prev_sq = np.empty_like(innov)
     prev_sq[0] = (x[0] - x.mean()) ** 2
     np.square(innov[:-1], out=prev_sq[1:])
     u = omega + a * prev_sq
-    s1sq = float(np.var(x))
-    # sigma2_t = u_t + b_coef * sigma2_{t-1} is a linear IIR recursion
-    sigma2, _ = lfilter([1.0], [1.0, -b_coef], u, zi=np.array([b_coef * s1sq]))
-    return innov, sigma2
+    u[0] += b_coef * float(np.var(x))
+    return innov, _variance_solve(b_coef, u)
 
 
 def _gaussian_terms(innov, sigma2) -> np.ndarray:
@@ -123,13 +144,14 @@ def _score_factors(x, theta) -> tuple:
     score of observation t is w_t d sigma2_t - v_t d innov_t, with
     w_t = (innov_t^2 / sigma2_t - 1) / (2 sigma2_t), v_t = innov_t / sigma2_t
     and d the derivative in theta.  The variance derivatives follow the
-    variance recursion itself, d sigma2_t = drive_t + b_coef * d sigma2_{t-1},
-    so one 2-D filter pass gives all five (Fiorentini, Calzolari & Panattoni
-    1996).  Returns innov, sigma2, w, d_sigma2, v and d_innov; the two
-    derivatives have one row per parameter, shape (5, n - 1).
+    variance recursion itself, d sigma2_t = drive_t + b_coef * d sigma2_{t-1}
+    (Fiorentini, Calzolari & Panattoni 1996), so they are one banded solve
+    of the drive away: `_scores` takes that forward solve, `_neg_loglik`
+    the adjoint one.  Returns innov, sigma2, w, drive, v and d_innov; drive
+    and d_innov have one row per parameter, shape (5, n - 1).
     """
     innov, sigma2 = _recursion(x, *theta)
-    a, b_coef = theta[3], theta[4]
+    a = theta[3]
     d_innov = np.zeros((5, innov.size))
     d_innov[0] = -1.0
     d_innov[1] = -x[:-1]
@@ -139,15 +161,15 @@ def _score_factors(x, theta) -> tuple:
     drive[2] = 1.0
     drive[3] = np.concatenate(([(x[0] - x.mean()) ** 2], innov[:-1] ** 2))
     drive[4] = np.concatenate(([np.var(x)], sigma2[:-1]))
-    d_sigma2 = lfilter([1.0], [1.0, -b_coef], drive)
     w = 0.5 * (innov * innov / sigma2 - 1.0) / sigma2
-    return innov, sigma2, w, d_sigma2, innov / sigma2, d_innov
+    return innov, sigma2, w, drive, innov / sigma2, d_innov
 
 
 def _scores(x, theta) -> np.ndarray:
     """Exact per-observation scores d l_t / d theta, shape (n - 1, 5)."""
-    _, _, w, d_sigma2, v, d_innov = _score_factors(x, theta)
-    return (w * d_sigma2 - v * d_innov).T
+    _, _, w, drive, v, d_innov = _score_factors(x, theta)
+    d_sigma2 = _variance_solve(theta[4], drive.T)
+    return w[:, None] * d_sigma2 - (v * d_innov).T
 
 
 def filter_series(x, params: ArGarchParams) -> FilteredSeries:
@@ -213,13 +235,18 @@ def _starts(x) -> list:
 
 
 def _neg_loglik(z, x) -> tuple:
-    """Negative quasi-loglikelihood at optimizer vector z and its exact gradient in z."""
+    """Negative quasi-loglikelihood at optimizer vector z and its exact gradient in z.
+
+    The gradient is the summed score by the adjoint method: with L the
+    banded matrix of the variance recursion, sum_t w_t d sigma2_t =
+    drive L^-T w, so one backward 1-D solve of w replaces the forward
+    solve of the five drive rows.
+    """
     theta, jac = _unpack(z)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        innov, sigma2, w, d_sigma2, v, d_innov = _score_factors(x, theta)
+        innov, sigma2, w, drive, v, d_innov = _score_factors(x, theta)
         ll = float(np.sum(_gaussian_terms(innov, sigma2)))
-        # the summed scores, without forming the per-observation rows
-        grad = (d_sigma2 @ w - d_innov @ v) @ jac
+        grad = (drive @ _variance_solve(theta[4], w, "T") - d_innov @ v) @ jac
     if not (math.isfinite(ll) and np.all(np.isfinite(grad))):
         return 1e300, np.zeros(5)
     return -ll, -grad

@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
-from scipy.stats import chi2
+from scipy.special import chdtrc, gammaincinv, xlogy
 
 from .argarch import filter_series, fit_qmle, forecast_next
 from .errors import ConvergenceError, EstimationError, NegativeGammaError
@@ -163,7 +162,7 @@ def uc_test(e: ExceedanceSeries) -> tuple:
     if e.n < 1:
         raise ValueError("need at least one indicator")
     lr = float(_lr_uc(e.n1, e.n, e.p))
-    return lr, float(chi2.sf(lr, 1))
+    return lr, float(chdtrc(1, lr))
 
 
 def ind_test(e: ExceedanceSeries) -> tuple:
@@ -172,7 +171,7 @@ def ind_test(e: ExceedanceSeries) -> tuple:
         raise ValueError("need at least two indicators")
     t = TransitionCounts.from_indicators(e.indicators)
     lr = float(_lr_ind(t.n00, t.n01, t.n10, t.n11))
-    return lr, float(chi2.sf(lr, 1))
+    return lr, float(chdtrc(1, lr))
 
 
 def cc_test(e: ExceedanceSeries) -> BacktestReport:
@@ -181,7 +180,7 @@ def cc_test(e: ExceedanceSeries) -> BacktestReport:
     lr_ind, p_ind = ind_test(e)
     lr_cc = lr_uc + lr_ind
     return BacktestReport(lr_uc=lr_uc, lr_ind=lr_ind, lr_cc=lr_cc,
-                          p_uc=p_uc, p_ind=p_ind, p_cc=float(chi2.sf(lr_cc, 2)),
+                          p_uc=p_uc, p_ind=p_ind, p_cc=float(chdtrc(2, lr_cc)),
                           n=e.n, n1=e.n1)
 
 
@@ -225,8 +224,9 @@ def sliding_backtest(e: ExceedanceSeries, test_len: int,
     n00 = _moving_sum((1 - a) & (1 - b), pair_len)
     lr_ind = _lr_ind(n00, n01, n10, n11)
 
-    crit1 = chi2.ppf(1.0 - level, 1)
-    crit2 = chi2.ppf(1.0 - level, 2)
+    # chi-square quantiles: df = 1 and 2, chi2.ppf(q, df) = 2 * gammaincinv(df / 2, q)
+    crit1 = 2.0 * gammaincinv(0.5, 1.0 - level)
+    crit2 = 2.0 * gammaincinv(1.0, 1.0 - level)
     return SlidingBacktestSummary(
         test_len=test_len,
         level=level,

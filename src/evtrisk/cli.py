@@ -132,9 +132,9 @@ def _parse_methods(text: str) -> tuple:
     return methods
 
 
-def _boot_spec(args) -> BootstrapSpec:
+def _boot_spec(args, level: float) -> BootstrapSpec:
     return BootstrapSpec(replicates=args.boot_reps, mean_block=args.boot_mean_block,
-                         seed=args.boot_seed, level=args.ci_level)
+                         seed=args.boot_seed, level=level)
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -152,7 +152,7 @@ def _cmd_tail(args) -> None:
         report["rho"] = args.rho
 
     if args.ci:
-        spec = _boot_spec(args)
+        spec = _boot_spec(args, args.ci_level)
         lo, hi, _ = percentile_ci(
             x, lambda xs: estimate(xs, args.k_alpha, args.rho).alpha, spec)
         report["alpha_ci"] = {"lower": lo, "upper": hi, "level": spec.level}
@@ -177,7 +177,7 @@ def _cmd_theta(args) -> None:
     r = _load_series(args.input)
     x = r.values
     method = {"lik": "exp_likelihood", "boot": "block_bootstrap"}[args.ci]
-    spec = _boot_spec(args) if args.ci == "boot" else None
+    spec = _boot_spec(args, args.level) if args.ci == "boot" else None
 
     plots = {}
     if args.block_grid:
@@ -313,7 +313,7 @@ def _cmd_chi(args) -> None:
     report = {"pair": [path_a, path_b], "n": len(pair),
               "residuals": bool(args.residuals)}
     plots = {}
-    spec = _boot_spec(args) if args.ci else None
+    spec = _boot_spec(args, args.ci_level) if args.ci else None
     if args.k_grid:
         grid = _parse_grid(args.k_grid)
         fits = chi_trace(x, y, grid, boot_spec=spec)
@@ -397,9 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
     boot.add_argument("--boot-reps", type=int, default=999)
     boot.add_argument("--boot-mean-block", type=float, default=200.0)
     boot.add_argument("--boot-seed", type=int, default=0)
-    boot.add_argument("--ci-level", type=float, default=0.90)
 
-    p = sub.add_parser("tail", parents=[common, inp, boot],
+    # theta takes the level of either CI from its own --level
+    ci_level = argparse.ArgumentParser(add_help=False)
+    ci_level.add_argument("--ci-level", type=float, default=0.90)
+
+    p = sub.add_parser("tail", parents=[common, inp, boot, ci_level],
                        help="tail index and high quantile estimation")
     p.add_argument("--method", choices=list(TAIL_METHODS), default="hill")
     p.add_argument("--k-alpha", type=int, required=True,
@@ -418,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-grid", help="lo:hi:step sweep of block sizes")
     p.add_argument("--ci", choices=["lik", "boot"], default="lik")
     p.add_argument("--level", type=float, default=0.95,
-                   help="level of the lik or boot CI (--ci-level is not used)")
+                   help="level of the lik or boot CI")
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("decluster", parents=[common, inp],
@@ -459,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.05)
     p.set_defaults(func=_cmd_backtest_cond)
 
-    p = sub.add_parser("chi", parents=[common, boot],
+    p = sub.add_parser("chi", parents=[common, boot, ci_level],
                        help="bivariate tail dependence coefficient")
     p.add_argument("--pair", nargs=2, required=True, metavar=("A", "B"))
     p.add_argument("--k", type=int, required=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import DataError, EstimationError
 
@@ -119,7 +119,7 @@ def theta_ci(fit: ExtremalIndexFit, x, level: float = 0.95,
         n_eff = fit.pseudo_obs_count / fit.block_size
         if n_eff <= 0:
             raise EstimationError("no effective samples for the likelihood interval")
-        z = norm.ppf(0.5 + level / 2.0)
+        z = ndtri(0.5 + level / 2.0)
         half = z / math.sqrt(n_eff)
         return fit.theta * math.exp(-half), fit.theta * math.exp(half)
     if method == BLOCK_BOOTSTRAP:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .argarch import fit_qmle
 from .bootstrap import BootstrapSpec, _replicate_ci
@@ -128,4 +128,4 @@ def t_copula_chi(rho: float, df: float) -> float:
     if rho == 1.0:
         return 1.0
     arg = math.sqrt((df + 1.0) * (1.0 - rho) / (1.0 + rho))
-    return float(2.0 * student_t.cdf(-arg, df + 1.0))
+    return float(2.0 * stdtr(df + 1.0, -arg))

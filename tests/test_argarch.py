@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import evtrisk as ev
-from evtrisk.argarch import _gaussian_terms, _neg_loglik, _pack, _recursion, _scores
+from evtrisk.argarch import (_gaussian_terms, _neg_loglik, _pack, _recursion, _scores,
+                             _unpack, _variance_solve)
 from evtrisk.errors import EstimationError
 
 GARCH_TRUTH = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
@@ -242,3 +243,53 @@ def test_neg_loglik_gradient_matches_central_differences(point):
     np.testing.assert_allclose(grad, want, rtol=1e-6, atol=1e-6)
     if point == "past-clamp":
         assert grad[3] == 0.0
+
+
+def _loop_solve(b_coef, rhs, start, trans):
+    """y_t = rhs_t + b_coef * y_{t-1} from y_0 = start, or backward for "T"."""
+    y = np.array(rhs, dtype=float)
+    if trans == "N":
+        y[0] += b_coef * start
+        for t in range(1, len(y)):
+            y[t] += b_coef * y[t - 1]
+    else:
+        for t in range(len(y) - 2, -1, -1):
+            y[t] += b_coef * y[t + 1]
+    return y
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+@pytest.mark.parametrize("shape", [(1,), (1, 5), (15604,), (15604, 5)])
+@pytest.mark.parametrize("b_coef", [0.0, 0.5, 0.894, 1.0 - 1e-6])
+def test_variance_solve_matches_loop(b_coef, shape, trans):
+    rng = np.random.default_rng(len(shape) * shape[0])
+    # positive terms, like variances: the recursion is then well conditioned
+    rhs = rng.uniform(0.5, 1.5, shape)
+    start = 2.0 if trans == "N" else 0.0
+    want = _loop_solve(b_coef, rhs, start, trans)
+    folded = rhs.copy()
+    folded[0] += b_coef * start
+    got = _variance_solve(b_coef, np.asfortranarray(folded), trans)
+    assert got.shape == shape
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("point", ["fit", "off-optimum", "past-clamp"])
+def test_adjoint_gradient_matches_forward_scores(point):
+    x = ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0)
+    if point == "fit":
+        z = _pack(ev.fit_qmle(x, compute_se=False).params)
+    else:
+        z = _pack(ev.ArGarchParams(0.1, -0.2, 0.05, 0.15, 0.7))
+        if point == "past-clamp":
+            z[3] = 20.0
+    theta, jac = _unpack(z)
+    scores = _scores(x, theta)
+    want = scores.sum(0) @ jac
+    _, grad = _neg_loglik(z, x)
+    err = np.abs(-grad - want)
+    # at the fit the summed score cancels to about 1e-5 out of terms of order
+    # 1e3, so its rounding is bounded relative to the sum of their magnitudes
+    bound = 1e-10 * (np.abs(scores).sum(0) @ np.abs(jac) if point == "fit"
+                     else np.abs(want))
+    assert np.all(err <= bound), err / bound

@@ -245,3 +245,32 @@ def test_method_quantile_corrected_falls_back_to_plain_hill():
     fallback = info.value.fallback
     want = ev.weissman_quantile(x, 0.99, backtest.K_WEISSMAN, fallback).value
     assert ev.method_quantile(x, 0.99, "corrected") == want
+
+
+@pytest.mark.parametrize("rate", [0.01, 0.05, 0.2])
+def test_p_values_equal_the_chi2_oracle(rate):
+    for seed in range(10):
+        ind = (np.random.default_rng(seed).random(500) < rate).astype(np.int8)
+        e = ev.ExceedanceSeries(ind, 0.05)
+        lr_uc, p_uc = ev.uc_test(e)
+        lr_ind, p_ind = ev.ind_test(e)
+        rep = ev.cc_test(e)
+        assert p_uc == float(chi2.sf(lr_uc, 1))
+        assert p_ind == float(chi2.sf(lr_ind, 1))
+        assert (rep.p_uc, rep.p_ind) == (p_uc, p_ind)
+        assert rep.p_cc == float(chi2.sf(rep.lr_cc, 2))
+
+
+@pytest.mark.parametrize("level", [0.01, 0.05, 0.1])
+def test_sliding_rejection_rates_equal_the_chi2_oracle(level):
+    rng = np.random.default_rng(12)
+    ind = (rng.random(400) < 0.08).astype(np.int8)
+    e = ev.ExceedanceSeries(ind, 0.05)
+    summary = ev.sliding_backtest(e, 60, level=level)
+    lr_uc, lr_ind = np.array(
+        [(ev.uc_test(w)[0], ev.ind_test(w)[0])
+         for w in (ev.ExceedanceSeries(ind[s:s + 60], 0.05) for s in range(341))]).T
+    crit1, crit2 = chi2.ppf(1.0 - level, 1), chi2.ppf(1.0 - level, 2)
+    assert summary.reject_uc == float(np.mean(lr_uc > crit1))
+    assert summary.reject_ind == float(np.mean(lr_ind > crit1))
+    assert summary.reject_cc == float(np.mean(lr_uc + lr_ind > crit2))

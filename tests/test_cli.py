@@ -207,10 +207,23 @@ def test_theta_bootstrap_ci_is_taken_at_level(pareto_csv, tmp_path):
     lo, hi = ev.theta_ci(fit, x, level=0.95, method="block_bootstrap",
                          boot_spec=spec)
     assert report["ci"] == {"lower": lo, "upper": hi, "level": 0.95}
-    # the interval at the --ci-level default (0.90) differs
+    # the interval at 0.90, the --ci-level default of tail and chi, differs
     narrow = ev.theta_ci(fit, x, level=0.90, method="block_bootstrap",
                          boot_spec=spec)
     assert narrow != (lo, hi)
+
+
+def test_ci_level_is_a_flag_of_tail_and_chi_only(pareto_csv, tmp_path):
+    # theta takes the level of either CI from --level
+    with pytest.raises(SystemExit) as exc:
+        main(["theta", "--input", str(pareto_csv), "--block-size", "100",
+              "--ci", "boot", "--boot-reps", "99", "--ci-level", "0.5",
+              "--out-dir", str(tmp_path / "theta")])
+    assert exc.value.code == 2
+    out = tmp_path / "tail"
+    assert _run("tail", "--input", pareto_csv, "--k-alpha", 150, "--ci",
+                "--boot-reps", 99, "--ci-level", 0.5, "--out-dir", out) == 0
+    assert _read_json(out / "tail_report.json")["alpha_ci"]["level"] == 0.5
 
 
 def test_decluster_weekday_and_gap(argarch_csv, tmp_path):

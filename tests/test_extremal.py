@@ -128,3 +128,12 @@ def test_sweep_covers_grid_and_attaches_cis():
     for f in fits:
         lo, hi, level = f.ci
         assert lo < hi and level == 0.95
+
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_likelihood_ci_equals_the_normal_oracle(level):
+    x = ev.sim_frechet(1.0, 5000, 2)
+    fit = ev.extremal_index_sliding(x, 100)
+    half = norm.ppf(0.5 + level / 2.0) / math.sqrt((5000 - 100) / 100)
+    assert ev.theta_ci(fit, x, level=level) == (fit.theta * math.exp(-half),
+                                                fit.theta * math.exp(half))

@@ -1,0 +1,41 @@
+"""The import graph: evtrisk loads neither scipy.stats nor scipy.signal.
+
+Those two subpackages cost about half of `import evtrisk`, which every CLI
+call pays, and nothing in evtrisk needs them.  Each check runs in a fresh
+interpreter, because the test session itself imports scipy.stats as an
+oracle.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import json, sys
+heavy = ("scipy.stats", "scipy.signal")
+loaded = {}
+import evtrisk
+loaded["import"] = [m for m in heavy if m in sys.modules]
+from evtrisk.cli import main
+out = sys.argv[1]
+assert main(["sim", "--model", "pareto", "--alpha", "3", "--n", "500",
+             "--out", "pareto.csv", "--out-dir", out]) == 0
+assert main(["tail", "--input", out + "/pareto.csv", "--k-alpha", "50",
+             "--p", "0.99", "--out-dir", out]) == 0
+loaded["tail"] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_evtrisk_loads_neither_scipy_stats_nor_scipy_signal(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "tail": []}

@@ -1,8 +1,10 @@
 """Rank-based tail dependence coefficient and its t-copula oracle."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.stats import rankdata
+from scipy.stats import rankdata, t as student_t
 
 import evtrisk as ev
 
@@ -147,3 +149,10 @@ def test_residual_pair_filters_both_margins():
     # filtering removes volatility clustering from each margin
     band = 3.0 / np.sqrt(len(out.values_a))
     assert np.max(np.abs(ev.acf(out.values_a ** 2, 10))) < band
+
+
+def test_t_copula_chi_equals_the_student_t_oracle():
+    for rho in (-0.9, -0.3, 0.0, 0.25, 0.5, 0.7, 0.9, 0.999):
+        for df in (0.5, 1.0, 3.0, 4.0, 10.0, 1e3):
+            arg = math.sqrt((df + 1.0) * (1.0 - rho) / (1.0 + rho))
+            assert ev.t_copula_chi(rho, df) == float(2.0 * student_t.cdf(-arg, df + 1.0))
