@@ -222,15 +222,17 @@ def _pack(p: ArGarchParams) -> np.ndarray:
 
 
 def _starts(x) -> list:
-    """Three fixed data-derived starting points."""
+    """Two fixed data-derived starting points: high and low persistence.
+
+    On a weakly identified series the loglik can have a high-persistence
+    local mode next to a better one near b_coef = 0; the low-persistence
+    start reaches the latter, which a start at 0.95 persistence misses.
+    """
     m = float(np.mean(x))
     v = float(np.var(x))
-    r1 = float(np.corrcoef(x[:-1], x[1:])[0, 1])
-    r1 = min(max(r1, -0.5), 0.5)
     return [
         ArGarchParams(m, 0.0, 0.05 * v, 0.05, 0.90),
-        ArGarchParams(m, r1, 0.05 * v, 0.10, 0.85),
-        ArGarchParams(m, 0.0, 0.03 * v, 0.02, 0.95),
+        ArGarchParams(m, 0.0, 0.5 * v, 0.05, 0.45),
     ]
 
 
@@ -252,14 +254,18 @@ def _neg_loglik(z, x) -> tuple:
     return -ll, -grad
 
 
-def fit_qmle(x, compute_se: bool = True) -> FilteredSeries:
+def fit_qmle(x, compute_se: bool = True,
+             start: Optional[ArGarchParams] = None) -> FilteredSeries:
     """Fit AR(1)-GARCH(1,1) by Gaussian QMLE.
 
     Quasi-Newton search (L-BFGS-B) on the exact score over a reparameterized
-    space enforcing omega > 0, a >= 0, b_coef >= 0 and a + b_coef < 1,
-    multistarted from three fixed data-derived points.  A boundary solution
-    with persistence at 1 - 1e-6 is returned with a "near_igarch" flag rather
-    than rejected.
+    space enforcing omega > 0, a >= 0, b_coef >= 0 and a + b_coef < 1.
+    Without `start` it is multistarted from two fixed data-derived points,
+    one of high and one of low persistence (a cold fit).  With `start` it
+    runs one search from there (a warm fit), and falls back to the cold
+    starts, flagged "warm_start_failed", if that search does not converge.
+    A boundary solution with persistence at 1 - 1e-6 is returned with a
+    "near_igarch" flag rather than rejected.
 
     Parameters
     ----------
@@ -267,6 +273,8 @@ def fit_qmle(x, compute_se: bool = True) -> FilteredSeries:
         Return series, length >= 200, non-constant.
     compute_se : bool
         Attach QMLE sandwich standard errors (skipped in bulk rolling fits).
+    start : ArGarchParams, optional
+        Warm start, such as the previous day's fit of a rolling window.
 
     Returns
     -------
@@ -279,17 +287,28 @@ def fit_qmle(x, compute_se: bool = True) -> FilteredSeries:
         raise EstimationError("constant series: GARCH parameters unidentifiable")
 
     # at the default ftol (2.2e-9 relative, about 5e-6 on a 2,000-observation
-    # loglik) a search can stop 2e-8 short of the optimum; 1e-12 reaches it
-    results = [minimize(_neg_loglik, _pack(p0), args=(x,), method="L-BFGS-B", jac=True,
-                        options={"ftol": 1e-12})
-               for p0 in _starts(x)]
-    converged = [r for r in results if r.success]
+    # loglik) a search can stop 2e-8 short of the optimum, and at 1e-12 a
+    # warm search from a point this close still stops up to 1e-4 short;
+    # 1e-15 reaches it from a cold or a warm start
+    def search(p0):
+        return minimize(_neg_loglik, _pack(p0), args=(x,), method="L-BFGS-B",
+                        jac=True, options={"ftol": 1e-15})
+
+    flags = ()
+    converged = []
+    if start is not None:
+        converged = [r for r in (search(start),) if r.success]
+        if not converged:
+            flags = ("warm_start_failed",)
+    if not converged:
+        converged = [r for r in map(search, _starts(x)) if r.success]
     if not converged:
         raise ConvergenceError("QMLE search failed to converge from any start")
     best = min(converged, key=lambda r: r.fun)
 
     # the flag reads the persistence before _unpack clamps it
-    flags = ("near_igarch",) if float(expit(best.x[3])) > _MAX_PERSISTENCE else ()
+    if float(expit(best.x[3])) > _MAX_PERSISTENCE:
+        flags = ("near_igarch",) + flags
     params = ArGarchParams(*(float(v) for v in _unpack(best.x)[0]))
 
     fitted = filter_series(x, params)

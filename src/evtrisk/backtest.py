@@ -58,6 +58,10 @@ K_ALPHA_HILL = 50
 K_ALPHA_CORRECTED = 200
 K_WEISSMAN = 50
 
+# roll_conditional fits cold (from fit_qmle's fixed starts) on fits 0, 250,
+# 500, ...; the fits in between start warm from the previous day's parameters
+_COLD_EVERY = 250
+
 
 @dataclass(frozen=True, eq=False)
 class ExceedanceSeries:
@@ -331,7 +335,9 @@ class CondRollResult:
 
     `days` are the forecast target indices into the input series;
     `refit_failures` lists target days whose window was filtered with the
-    previous day's parameters after a failed fit.
+    previous day's parameters after a failed fit; `cold_days` lists target
+    days whose forecast comes from a cold fit: the anchors and any warm
+    fit that fell back to the cold starts.
     """
 
     window: int
@@ -341,6 +347,7 @@ class CondRollResult:
     forecasts: dict
     exceedances: dict
     refit_failures: np.ndarray
+    cold_days: np.ndarray
 
     def mean_count(self, method: str, test_len: int) -> float:
         return float(np.mean(_moving_sum(self.exceedances[method].indicators, test_len)))
@@ -355,6 +362,12 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
     estimated per method, and the forecast for day t+1 is
     mu_next + sigma_next * q_resid.  A failed fit reuses the previous day's
     parameters and records the day in `refit_failures`.
+
+    Each fit is warm-started from the previous day's parameters, except the
+    anchors: the first fit and every 250th after it run the cold starts of
+    `fit_qmle`, so a day depends on the days before it only back to its
+    anchor.  A warm search that does not converge falls back to the cold
+    starts too; the target days of both are in `cold_days`.
     """
     x = _series_values(r)
     n = x.size
@@ -364,17 +377,21 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
     fit_days = np.arange(window - 1, n - 1, step)
 
     forecasts = {m: np.empty(fit_days.size) for m in methods}
-    failures = []
+    failures, cold = [], []
     prev_params = None
     for j, t in enumerate(fit_days):
         xwin = x[t - window + 1:t + 1]
+        start = None if j % _COLD_EVERY == 0 else prev_params
         try:
-            fitted = fit_qmle(xwin, compute_se=False)
+            fitted = fit_qmle(xwin, compute_se=False, start=start)
         except (ConvergenceError, EstimationError):
             if prev_params is None:
                 raise
             fitted = filter_series(xwin, prev_params)
             failures.append(t + 1)
+        else:
+            if start is None or "warm_start_failed" in fitted.flags:
+                cold.append(t + 1)
         prev_params = fitted.params
         base = forecast_next(fitted, x[t])
         for m in methods:
@@ -387,4 +404,5 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
     exc = {m: exceedances(realized, forecasts[m], p_exc) for m in methods}
     return CondRollResult(window=window, step=step, p=p, days=days,
                           forecasts=forecasts, exceedances=exc,
-                          refit_failures=np.asarray(failures, dtype=np.int64))
+                          refit_failures=np.asarray(failures, dtype=np.int64),
+                          cold_days=np.asarray(cold, dtype=np.int64))

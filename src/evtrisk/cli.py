@@ -274,7 +274,7 @@ def _cmd_backtest_uncond(args) -> None:
         for m in methods:
             for L in test_lens:
                 c = res.counts[m][L][j]
-                rows.append((int(s), m, repr(res.forecasts[m][j]), L,
+                rows.append((int(s), m, repr(float(res.forecasts[m][j])), L,
                              "" if np.isnan(c) else int(c)))
     summary = {"windows": int(res.starts.size), "window": args.window,
                "step": args.step, "p": args.p,
@@ -294,10 +294,11 @@ def _cmd_backtest_cond(args) -> None:
     rows = []
     for j, d in enumerate(res.days):
         for m in methods:
-            rows.append((int(d), str(r.dates[d]), m, repr(res.forecasts[m][j]),
+            rows.append((int(d), str(r.dates[d]), m, repr(float(res.forecasts[m][j])),
                          int(res.exceedances[m].indicators[j])))
     summary = {"days": int(res.days.size), "window": args.window, "step": args.step,
                "p": args.p, "refit_failures": int(res.refit_failures.size),
+               "cold_fits": int(res.cold_days.size),
                "tests": _sliding_tests(res.exceedances, test_lens, args.level)}
     plots = {"days": (["day", "date", "method", "forecast", "exceed"], rows)}
     _emit(args, {"input": args.input, **summary}, plots)

@@ -225,6 +225,28 @@ def test_fit_matches_frozen_reference(case, frozen):
         assert fit.params.persistence == pytest.approx(1.0 - 1e-6, rel=0, abs=1e-12)
 
 
+WEAK_GARCH = ev.ArGarchParams(0.01, -0.1, 0.2, 0.05, 0.5)
+
+# weakly identified series (WEAK_GARCH, n = 2,000) whose global mode lies near
+# b_coef = 0 beside a high-persistence local mode that high-persistence starts
+# end in: (seed, innovation, df) -> best loglik of a 15-start L-BFGS-B grid
+GLOBAL_MODES = [
+    ((5001, "student_t", 5.0), -1992.3940819087445),
+    ((5021, "student_t", 5.0), -2126.83659106516),
+    ((1008, "gaussian", None), -1973.0821870607037),
+]
+
+
+@pytest.mark.parametrize("case, frozen", GLOBAL_MODES,
+                         ids=["t5-seed5001", "t5-seed5021", "gauss-seed1008"])
+def test_fit_finds_the_low_persistence_global_mode(case, frozen):
+    seed, innovation, df = case
+    x = ev.sim_argarch(WEAK_GARCH, 2000, seed, innovation=innovation, df=df)
+    fit = ev.fit_qmle(x, compute_se=False)
+    assert fit.loglik >= frozen - 1e-8
+    assert fit.params.persistence < 0.1
+
+
 @pytest.mark.parametrize("point", ["fit", "off-optimum", "past-clamp"])
 def test_neg_loglik_gradient_matches_central_differences(point):
     x = ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0)

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 import evtrisk as ev
-from evtrisk import backtest
+from evtrisk import argarch, backtest
 
 
 def _lr_uc_direct(n1, n, p):
@@ -234,6 +234,77 @@ def test_roll_conditional_failure_on_first_day_raises(monkeypatch):
     monkeypatch.setattr(backtest, "fit_qmle", fit_failing)
     with pytest.raises(ev.ConvergenceError, match="forced failure"):
         ev.roll_conditional(x, window=300, step=1, p=0.99, methods=("empirical",))
+
+
+def _spy_on_fits(monkeypatch):
+    """Record (window, start, fit) of every fit_qmle call of roll_conditional."""
+    real_fit, calls = backtest.fit_qmle, []
+
+    def spy(xwin, **kwargs):
+        calls.append((xwin, kwargs.get("start"), real_fit(xwin, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(backtest, "fit_qmle", spy)
+    return calls
+
+
+def test_roll_conditional_warm_fits_match_cold_fits(monkeypatch):
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 530, 31,
+                       innovation="student_t", df=5.0)
+    calls = _spy_on_fits(monkeypatch)
+    res = ev.roll_conditional(x, window=500, step=1, p=0.99, methods=("empirical",))
+    assert len(calls) == 30
+    assert res.cold_days.tolist() == [500]
+    assert calls[0][1] is None and all(start is not None for _, start, _ in calls[1:])
+    for xwin, _, fit in calls:
+        cold = ev.fit_qmle(xwin, compute_se=False)
+        # the gate of test_fit_matches_frozen_reference: no loss beyond 1e-8
+        assert fit.loglik >= cold.loglik - 1e-8
+
+
+def _fail_search(monkeypatch, k):
+    """Make search k (from 0) of argarch.minimize report no convergence."""
+    real_minimize, searches = argarch.minimize, []
+
+    def wrapped(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        res.success = res.success and len(searches) != k
+        searches.append(res)
+        return res
+
+    monkeypatch.setattr(argarch, "minimize", wrapped)
+    return searches
+
+
+def test_failed_warm_search_falls_back_to_the_cold_fit(monkeypatch):
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
+                       innovation="student_t", df=5.0)
+    cold = ev.fit_qmle(x, compute_se=False)
+    assert "warm_start_failed" not in cold.flags
+    searches = _fail_search(monkeypatch, 0)
+    fit = ev.fit_qmle(x, compute_se=False, start=cold.params)
+    assert len(searches) == 1 + len(argarch._starts(x))
+    assert fit.params == cold.params and fit.loglik == cold.loglik
+    assert fit.flags == cold.flags + ("warm_start_failed",)
+
+
+def test_roll_conditional_counts_a_warm_fallback_as_cold(monkeypatch):
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 303, 21)
+    _fail_search(monkeypatch, len(argarch._starts(x)))  # day 2's warm search
+    res = ev.roll_conditional(x, window=300, step=1, p=0.99, methods=("empirical",))
+    assert res.cold_days.tolist() == [300, 301]
+    assert res.refit_failures.size == 0
+
+
+def test_roll_conditional_fits_cold_every_250th_fit(monkeypatch):
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 460, 33)
+    calls = _spy_on_fits(monkeypatch)
+    res = ev.roll_conditional(x, window=200, step=1, p=0.99, methods=("empirical",))
+    assert len(calls) == 260
+    assert [j for j, (_, start, _) in enumerate(calls) if start is None] == [0, 250]
+    fallbacks = [j for j, (_, _, fit) in enumerate(calls)
+                 if "warm_start_failed" in fit.flags]
+    assert res.cold_days.tolist() == [res.days[j] for j in sorted({0, 250, *fallbacks})]
 
 
 def test_method_quantile_corrected_falls_back_to_plain_hill():

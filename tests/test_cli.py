@@ -1,5 +1,6 @@
 """Command-line interface: subcommand artifacts, manifests, exit codes."""
 
+import csv
 import hashlib
 import json
 import warnings
@@ -284,9 +285,21 @@ def test_backtest_cond_artifacts(argarch_csv, tmp_path):
     report = _read_json(out / "backtest_cond_report.json")
     assert report["days"] == 8
     assert report["refit_failures"] == 0
+    assert report["cold_fits"] == 1  # the first fit; the other seven start warm
     assert report["tests"]["empirical"]["5"]["placements"] == 4
     rows = (out / "backtest_cond_days.csv").read_text().splitlines()
     assert len(rows) == 1 + 8
+
+
+def test_backtest_forecast_cells_are_plain_numbers(pareto_csv, argarch_csv, tmp_path):
+    assert _run("backtest-uncond", "--input", pareto_csv, "--window", 1000,
+                "--step", 250, "--test-len", "250", "--out-dir", tmp_path) == 0
+    assert _run("backtest-cond", "--input", argarch_csv, "--window", 1000,
+                "--step", 25, "--test-len", "5", "--out-dir", tmp_path) == 0
+    for name in ("backtest_uncond_windows.csv", "backtest_cond_days.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            cells = [row["forecast"] for row in csv.DictReader(fh)]
+        assert cells and all(np.isfinite(float(c)) for c in cells), name
 
 
 def test_chi_pair_with_ci(tmp_path):
