@@ -41,6 +41,9 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _MAX_PERSISTENCE = 1.0 - 1e-6
+# largest |gradient| entry at which a warm search's ABNORMAL stop is
+# accepted as converged; fit_qmle says why
+_ABNORMAL_GTOL = 5e-5
 PARAM_NAMES = ("mu", "phi", "omega", "a", "b_coef")
 
 
@@ -264,6 +267,13 @@ def fit_qmle(x, compute_se: bool = True,
     one of high and one of low persistence (a cold fit).  With `start` it
     runs one search from there (a warm fit), and falls back to the cold
     starts, flagged "warm_start_failed", if that search does not converge.
+    A warm search that ends in L-BFGS-B's ABNORMAL stop (its line search
+    found no decrease) counts as converged when no entry of its gradient g
+    exceeds 5e-5 in absolute value.  Its loglik is then within about
+    |g|^2 / (2 lambda) of the optimum, where lambda is the smallest Hessian
+    eigenvalue in the optimizer coordinates.  On t(5) windows of 2,000 days
+    lambda was 1.7 or more, so the gap is at most 4e-9, and searches that
+    do converge stopped with gradient entries up to 2.4e-4.
     A boundary solution with persistence at 1 - 1e-6 is returned with a
     "near_igarch" flag rather than rejected.
 
@@ -297,8 +307,11 @@ def fit_qmle(x, compute_se: bool = True,
     flags = ()
     converged = []
     if start is not None:
-        converged = [r for r in (search(start),) if r.success]
-        if not converged:
+        warm = search(start)
+        if warm.success or (warm.message.startswith("ABNORMAL")
+                            and np.max(np.abs(warm.jac)) <= _ABNORMAL_GTOL):
+            converged = [warm]
+        else:
             flags = ("warm_start_failed",)
     if not converged:
         converged = [r for r in map(search, _starts(x)) if r.success]

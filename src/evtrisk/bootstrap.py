@@ -60,14 +60,19 @@ def resample_indices(n: int, spec: BootstrapSpec, replicate_index: int) -> np.nd
         starts = np.concatenate([starts, ss])
         total += int(ls.sum())
 
+    # trim the blocks to n in all; a block running past n-1 becomes two
+    # segments, [start, n) and [0, rest); the output at position j of a
+    # segment is j plus that segment's offset
     ends = np.cumsum(lengths)
     n_blocks = int(np.searchsorted(ends, n, side="left")) + 1
-    lengths = lengths[:n_blocks]
     starts = starts[:n_blocks]
-    used = int(lengths.sum())
-    within = np.arange(used) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    idx = (np.repeat(starts, lengths) + within) % n
-    return idx[:n]
+    lengths = lengths[:n_blocks]
+    lengths[-1] -= ends[n_blocks - 1] - n
+    head = np.minimum(lengths, n - starts)
+    offset = starts - (np.cumsum(lengths) - lengths)
+    seg_len = np.column_stack((head, lengths - head)).ravel()
+    seg_offset = np.column_stack((offset, offset - n)).ravel()
+    return np.arange(n) + np.repeat(seg_offset, seg_len)
 
 
 def resample(x, spec: BootstrapSpec, replicate_index: int) -> np.ndarray:

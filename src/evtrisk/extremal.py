@@ -57,22 +57,28 @@ class ExtremalIndexFit:
 def block_maxima_sliding(x, b: int) -> np.ndarray:
     """Maxima over all sliding windows of b+1 consecutive points (length n-b).
 
-    O(n) in b (van Herk 1992; Gil & Werman 1993): cut x into blocks of
-    w = b+1 and take running maxima forwards and backwards within each
-    block.  Window i spans at most two blocks, so its maximum is the suffix
-    maximum from i joined with the prefix maximum up to i+b.
+    O(n log b) by doubling: after k shifted maxima, entry i holds the
+    maximum of the 2**k points from i; two such runs that overlap cover a
+    window of b+1 exactly.  A maximum never rounds, so the result equals
+    the direct window maximum bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
+    _check_block_size(b, len(x))
+    return _window_maxima(x, b + 1)
+
+
+def _check_block_size(b: int, n: int) -> None:
     if not 1 < b < n:
         raise ValueError(f"block size must satisfy 1 < b < n, got b={b}, n={n}")
-    w = b + 1
-    padded = np.full(-(-n // w) * w, -np.inf)
-    padded[:n] = x
-    blocks = padded.reshape(-1, w)
-    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
-    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suffix[:n - b], prefix[b:n])
+
+
+def _window_maxima(x: np.ndarray, w: int) -> np.ndarray:
+    """Maxima of the len(x)-w+1 windows of w consecutive entries, of any dtype."""
+    m, span = x, 1
+    while 2 * span <= w:
+        m = np.maximum(m[:-span], m[span:])
+        span *= 2
+    return np.maximum(m[:len(x) - w + 1], m[w - span:])
 
 
 def extremal_index_sliding(x, b: int) -> ExtremalIndexFit:
@@ -90,7 +96,27 @@ def extremal_index_sliding(x, b: int) -> ExtremalIndexFit:
     if np.ptp(x) == 0:
         raise EstimationError("constant series: extremal index undefined")
     maxima = block_maxima_sliding(x, b)
-    ecdf = np.searchsorted(np.sort(x), maxima, side="right") / n
+    return _fit_from_ecdf(np.searchsorted(np.sort(x), maxima, side="right") / n, b)
+
+
+def _theta_on_ranks(ranks: np.ndarray, b: int) -> float:
+    """extremal_index_sliding(x, b).theta from the dense ranks of finite x.
+
+    Equal in value, and in the errors it raises, because F_n of a window
+    maximum is the count of points at or below its rank: a cumulative
+    bincount, with no sort.
+    """
+    n = len(ranks)
+    if np.ptp(ranks) == 0:
+        raise EstimationError("constant series: extremal index undefined")
+    _check_block_size(b, n)
+    at_or_below = np.cumsum(np.bincount(ranks))
+    return _fit_from_ecdf(at_or_below[_window_maxima(ranks, b + 1)] / n, b).theta
+
+
+def _fit_from_ecdf(ecdf: np.ndarray, b: int) -> ExtremalIndexFit:
+    """The estimate from F_n at the n-b window maxima."""
+    n = len(ecdf) + b
     y = -b * np.log(ecdf)
     mean_y = float(np.mean(y))
     if mean_y == 0.0:
@@ -126,9 +152,14 @@ def theta_ci(fit: ExtremalIndexFit, x, level: float = 0.95,
         from .bootstrap import BootstrapSpec, percentile_ci
 
         spec = replace(boot_spec or BootstrapSpec(), level=level)
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise DataError("non-finite value in extremal index sample")
+        # the estimate depends on x through its ranks only: rank once, and
+        # resample the ranks
+        ranks = np.unique(x, return_inverse=True)[1]
         b = fit.block_size
-        lower, upper, _ = percentile_ci(
-            x, lambda xs: extremal_index_sliding(xs, b).theta, spec)
+        lower, upper, _ = percentile_ci(ranks, lambda rs: _theta_on_ranks(rs, b), spec)
         return lower, upper
     raise ValueError(f"unknown CI method {method!r}")
 

@@ -288,6 +288,48 @@ def test_failed_warm_search_falls_back_to_the_cold_fit(monkeypatch):
     assert fit.flags == cold.flags + ("warm_start_failed",)
 
 
+def _abnormal_first_search(monkeypatch, maxiter=None):
+    """Make the first search of argarch.minimize end in the ABNORMAL
+    line-search stop, after at most maxiter iterations if given."""
+    real_minimize, searches = argarch.minimize, []
+
+    def wrapped(*args, **kwargs):
+        if not searches and maxiter:
+            kwargs["options"] = {**kwargs["options"], "maxiter": maxiter}
+        res = real_minimize(*args, **kwargs)
+        if not searches:
+            res.success, res.status, res.message = False, 2, "ABNORMAL: "
+        searches.append(res)
+        return res
+
+    monkeypatch.setattr(argarch, "minimize", wrapped)
+    return searches
+
+
+def test_abnormal_warm_stop_at_the_optimum_is_kept(monkeypatch):
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
+                       innovation="student_t", df=5.0)
+    cold = ev.fit_qmle(x, compute_se=False)
+    searches = _abnormal_first_search(monkeypatch)
+    fit = ev.fit_qmle(x, compute_se=False, start=cold.params)
+    assert len(searches) == 1
+    assert fit.flags == cold.flags
+    assert fit.loglik >= cold.loglik - 1e-8
+
+
+def test_abnormal_warm_stop_far_from_the_optimum_falls_back(monkeypatch):
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
+                       innovation="student_t", df=5.0)
+    cold = ev.fit_qmle(x, compute_se=False)
+    searches = _abnormal_first_search(monkeypatch, maxiter=1)
+    far = ev.ArGarchParams(0.0, 0.0, 0.5, 0.3, 0.3)
+    fit = ev.fit_qmle(x, compute_se=False, start=far)
+    assert np.max(np.abs(searches[0].jac)) > argarch._ABNORMAL_GTOL
+    assert len(searches) == 1 + len(argarch._starts(x))
+    assert fit.params == cold.params
+    assert fit.flags == cold.flags + ("warm_start_failed",)
+
+
 def test_roll_conditional_counts_a_warm_fallback_as_cold(monkeypatch):
     x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 303, 21)
     _fail_search(monkeypatch, len(argarch._starts(x)))  # day 2's warm search

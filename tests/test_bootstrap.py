@@ -1,5 +1,7 @@
 """Stationary block bootstrap: resampling scheme and percentile intervals."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,46 @@ def test_ci_endpoints_match_frozen_reference():
     b = a + ev.sim_argarch(params, 3000, 9)
     assert ev.chi_ci(a, b, 100, spec) == (0.34, 0.49, 0.41)
     assert ev.chi_ci(np.round(a, 1), np.round(b, 1), 100, spec) == (0.33, 0.49, 0.41)
+
+
+# sha256 of the int64 index vectors of (seed, r) = (0, 0), (3, 1), (13, 998),
+# concatenated, per (n, mean_block); frozen from the modulo-and-repeat
+# construction that drew each block whole and cut the result to n
+RESAMPLE_HASHES = {
+    (2, 1.0): "513b7d57254e507c7631273b9a9075a7381d75e65d118ed65275d19126fc48e5",
+    (2, 1.5): "47ebc1df7b8ccc0aaf3506224e6916e847c04466c2dfb986934d19350faac7e3",
+    (2, 200.0): "02a646589b206f5660fbfbbc090b83de1c9ec9eea17d5fa7b3cc696f8ec84e5e",
+    (2, 1e5): "02a646589b206f5660fbfbbc090b83de1c9ec9eea17d5fa7b3cc696f8ec84e5e",
+    (3, 1.0): "d5239faad55253d6d37a3b5c40255a63b38c3b3ba6619f701eecf35a0daebfa2",
+    (3, 1.5): "dc785e89dd78868c9e67c990fa811a30d1c1d8e347b1f04e021dbf17b2010459",
+    (3, 200.0): "88146204adf73ffee243faa0f3fe613d29ba265db442e910c093db2335eae74f",
+    (3, 1e5): "88146204adf73ffee243faa0f3fe613d29ba265db442e910c093db2335eae74f",
+    (17, 1.0): "afd2781dd9b48a45c07a8c5b3b992aec16516d0ab7cddc7ce354102bc482d095",
+    (17, 1.5): "8fd511c3b03f447a459bf37e084499bb3e1722c84a37a700f17b3b3286f56755",
+    (17, 200.0): "24ad7db0c52903ff5d2a0ad186e96314c4474c7b527fbe49dfe257ee53edb934",
+    (17, 1e5): "24ad7db0c52903ff5d2a0ad186e96314c4474c7b527fbe49dfe257ee53edb934",
+    (15_605, 1.0): "2cbe654491ef0a3df930b843422d2f8fcf96ddd6f4372333886d09f94912d1b9",
+    (15_605, 1.5): "7cc78e3092b86d074a5b8c668d282d8296eb5e1d0347216a08c300d5062adc9e",
+    (15_605, 200.0): "6791cd44ada4330de65dcb0b75248200987ebf13709eda2fa933d7e43f7e6dad",
+    (15_605, 1e5): "4cabfd8b0191d78dea826459b84c0b38a4c71b517824310ec973c18cb3d474fb",
+}
+
+
+def _index_hash(n, mean_block, seed_r):
+    h = hashlib.sha256()
+    for seed, r in seed_r:
+        idx = ev.resample_indices(n, ev.BootstrapSpec(mean_block=mean_block, seed=seed), r)
+        assert idx.dtype == np.int64 and idx.shape == (n,)
+        h.update(idx.tobytes())
+    return h.hexdigest()
+
+
+def test_resample_indices_match_frozen_hashes():
+    for (n, mean_block), want in RESAMPLE_HASHES.items():
+        assert _index_hash(n, mean_block, ((0, 0), (3, 1), (13, 998))) == want, (n, mean_block)
+    # n = 17, mean block 4, seed 0, r = 7: the block (start 14, length 3)
+    # ends exactly at index n-1 and the next one (16, 3) wraps round to 0
+    idx = ev.resample_indices(17, ev.BootstrapSpec(mean_block=4.0, seed=0), 7)
+    assert [14, 15, 16, 16, 0, 1] in [idx[i:i + 6].tolist() for i in range(12)]
+    assert _index_hash(17, 4.0, ((0, 7),)) == (
+        "6c853d2714dfde97f5f338237714dddd7e85c68aee6114d85abd133094e96717")

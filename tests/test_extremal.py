@@ -8,7 +8,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import norm
 
 import evtrisk as ev
-from evtrisk.errors import EstimationError
+from evtrisk.errors import DataError, EstimationError
+from evtrisk.extremal import _theta_on_ranks, _window_maxima
 
 
 def test_block_maxima_by_hand():
@@ -18,8 +19,10 @@ def test_block_maxima_by_hand():
         ev.block_maxima_sliding([5.0, 1.0, 1.0, 1.0, 7.0], 3), [5.0, 7.0])
 
 
+# b+1 at, below and above powers of two, and b = n-1
 @pytest.mark.parametrize("n, b", [(12, 2), (13, 2), (600, 99), (601, 99),
-                                  (600, 599), (17, 16)])
+                                  (600, 599), (17, 16), (1200, 254), (1200, 255),
+                                  (1200, 256), (1200, 511), (513, 512)])
 def test_block_maxima_equal_a_direct_window_max(n, b):
     rng = np.random.default_rng([n, b])
     raw = rng.standard_t(3, n)
@@ -31,6 +34,14 @@ def test_block_maxima_equal_a_direct_window_max(n, b):
     for x in (raw, ties, signed_inf, -np.abs(ties), all_but_one_neg_inf):
         assert np.array_equal(ev.block_maxima_sliding(x, b),
                               sliding_window_view(x, b + 1).max(axis=1))
+
+
+def test_window_maxima_of_integer_ranks():
+    ranks = np.random.default_rng(4).integers(0, 7, 300)
+    for w in (2, 3, 64, 65, 300):
+        got = _window_maxima(ranks, w)
+        assert got.dtype == ranks.dtype
+        np.testing.assert_array_equal(got, sliding_window_view(ranks, w).max(axis=1))
 
 
 def test_block_size_bounds():
@@ -137,3 +148,45 @@ def test_likelihood_ci_equals_the_normal_oracle(level):
     half = norm.ppf(0.5 + level / 2.0) / math.sqrt((5000 - 100) / 100)
     assert ev.theta_ci(fit, x, level=level) == (fit.theta * math.exp(-half),
                                                 fit.theta * math.exp(half))
+
+
+def _theta_or_error(estimate):
+    try:
+        return estimate()
+    except EstimationError as exc:
+        return repr(exc)
+
+
+def _outcome(value):
+    if isinstance(value, float):
+        return "theta < 1" if value < 1.0 else "theta = 1"
+    return "constant" if "constant" in value else "degenerate"
+
+
+@pytest.mark.parametrize("x, b, mean_block, outcomes", [
+    # so tied that some resamples are constant or have every window maximum
+    # at the sample maximum: the replicates the bootstrap drops
+    (np.array([0.0, 0, 0, 5, 0, 0, 0, 0, 5, 5, 0, 0]), 2, 1.0,
+     {"theta = 1", "constant", "degenerate"}),
+    (np.round(ev.sim_duplicated(lambda c, s: ev.sim_frechet(1.0, c, s), 3, 300, 2)),
+     10, 3.0, {"theta < 1", "theta = 1"}),
+])
+def test_rank_statistic_equals_the_estimate_on_each_resample(x, b, mean_block, outcomes):
+    ranks = np.unique(x, return_inverse=True)[1]
+    spec = ev.BootstrapSpec(mean_block=mean_block, seed=1)
+    seen = set()
+    for r in range(200):
+        idx = ev.resample_indices(len(x), spec, r)
+        want = _theta_or_error(lambda: ev.extremal_index_sliding(x[idx], b).theta)
+        assert _theta_or_error(lambda: _theta_on_ranks(ranks[idx], b)) == want
+        seen.add(_outcome(want))
+    assert seen == outcomes
+
+
+def test_bootstrap_ci_refuses_non_finite_data():
+    x = ev.sim_frechet(1.0, 1000, 1)
+    fit = ev.extremal_index_sliding(x, 20)
+    x[500] = np.nan
+    spec = ev.BootstrapSpec(replicates=9, mean_block=50.0, seed=1)
+    with pytest.raises(DataError):
+        ev.theta_ci(fit, x, method="block_bootstrap", boot_spec=spec)
