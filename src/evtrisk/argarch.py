@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
-from .errors import ConvergenceError, EstimationError
+from .errors import ConvergenceError, DataError, EstimationError
 
 __all__ = [
     "ArGarchParams",
@@ -123,16 +123,19 @@ def _variance_solve(b_coef, rhs, trans="N"):
 def _recursion(x, mu, phi, omega, a, b_coef):
     """Innovations a_t and conditional variances sigma_t^2 for t = 2..n.
 
-    sigma2_t = u_t + b_coef * sigma2_{t-1} is linear in sigma2: one banded
-    solve, with the start term b_coef * sigma_1^2 folded into the first u_t.
+    sigma2_t = u_t + b_coef * sigma2_{t-1}, with u_t = omega + a * a_{t-1}^2,
+    is linear in sigma2: one banded solve, with the start term
+    b_coef * sigma_1^2 folded into the first u_t.  Also returns the lagged
+    squares a_{t-1}^2 and the start sigma_1^2, which the scores reuse.
     """
     innov = x[1:] - mu - phi * x[:-1]
     prev_sq = np.empty_like(innov)
     prev_sq[0] = (x[0] - x.mean()) ** 2
     np.square(innov[:-1], out=prev_sq[1:])
     u = omega + a * prev_sq
-    u[0] += b_coef * float(np.var(x))
-    return innov, _variance_solve(b_coef, u)
+    start_var = float(np.var(x))
+    u[0] += b_coef * start_var
+    return innov, _variance_solve(b_coef, u), prev_sq, start_var
 
 
 def _gaussian_terms(innov, sigma2) -> np.ndarray:
@@ -141,51 +144,90 @@ def _gaussian_terms(innov, sigma2) -> np.ndarray:
 
 
 def _score_factors(x, theta) -> tuple:
-    """Innovations, variances and the factors of the exact scores.
+    """The recursion at theta and the per-observation factors of its scores.
 
     theta is (mu, phi, omega, a, b_coef) in the original coordinates.  The
     score of observation t is w_t d sigma2_t - v_t d innov_t, with
     w_t = (innov_t^2 / sigma2_t - 1) / (2 sigma2_t), v_t = innov_t / sigma2_t
-    and d the derivative in theta.  The variance derivatives follow the
-    variance recursion itself, d sigma2_t = drive_t + b_coef * d sigma2_{t-1}
-    (Fiorentini, Calzolari & Panattoni 1996), so they are one banded solve
-    of the drive away: `_scores` takes that forward solve, `_neg_loglik`
-    the adjoint one.  Returns innov, sigma2, w, drive, v and d_innov; drive
-    and d_innov have one row per parameter, shape (5, n - 1).
+    and d the derivative in theta.  d innov_t = (-1, -x_{t-1}, 0, 0, 0), and
+    the variance derivatives follow the variance recursion itself,
+    d sigma2_t = drive_t + b_coef * d sigma2_{t-1} with
+    drive_t = (-2a innov_{t-1}, -2a innov_{t-1} x_{t-2}, 1, innov_{t-1}^2,
+    sigma2_{t-1}) (Fiorentini, Calzolari & Panattoni 1996); the start values
+    a_1 and sigma_1^2 do not depend on theta, so the first drive_t is
+    (0, 0, 1, a_1^2, sigma_1^2).  Returns innov, sigma2, prev_sq (a_{t-1}^2),
+    start_var (sigma_1^2), w and v: `_summed_score` sums the scores from
+    them, `_scores` builds the rows.
     """
-    innov, sigma2 = _recursion(x, *theta)
-    a = theta[3]
-    d_innov = np.zeros((5, innov.size))
-    d_innov[0] = -1.0
-    d_innov[1] = -x[:-1]
-    # the start values a_1 and sigma_1^2 do not depend on theta
-    drive = np.zeros_like(d_innov)
-    drive[:2, 1:] = 2.0 * a * innov[:-1] * d_innov[:2, :-1]
-    drive[2] = 1.0
-    drive[3] = np.concatenate(([(x[0] - x.mean()) ** 2], innov[:-1] ** 2))
-    drive[4] = np.concatenate(([np.var(x)], sigma2[:-1]))
-    w = 0.5 * (innov * innov / sigma2 - 1.0) / sigma2
-    return innov, sigma2, w, drive, innov / sigma2, d_innov
+    innov, sigma2, prev_sq, start_var = _recursion(x, *theta)
+    v = innov / sigma2
+    w = 0.5 * (innov * v - 1.0) / sigma2
+    return innov, sigma2, prev_sq, start_var, w, v
+
+
+def _summed_score(x, theta) -> tuple:
+    """Quasi-loglikelihood at theta and its exact gradient in theta.
+
+    The gradient is the summed score by the adjoint method.  With L the
+    banded matrix of the variance recursion, d sigma2 = L^-1 drive, so
+    sum_t w_t d sigma2_t = (L^-T w) . drive: one backward 1-D solve of w,
+    then five dot products against the factors of `_score_factors`.  No
+    drive or d innov rows are built.
+    """
+    innov, sigma2, prev_sq, start_var, w, v = _score_factors(x, theta)
+    g = _variance_solve(theta[4], w, "T")
+    two_a = 2.0 * theta[3]
+    innov_g = innov[:-1] * g[1:]
+    grad = np.array([
+        v.sum() - two_a * innov_g.sum(),
+        x[:-1] @ v - two_a * (innov_g @ x[:-2]),
+        g.sum(),
+        prev_sq @ g,
+        start_var * g[0] + sigma2[:-1] @ g[1:],
+    ])
+    return float(np.sum(_gaussian_terms(innov, sigma2))), grad
 
 
 def _scores(x, theta) -> np.ndarray:
-    """Exact per-observation scores d l_t / d theta, shape (n - 1, 5)."""
-    _, _, w, drive, v, d_innov = _score_factors(x, theta)
-    d_sigma2 = _variance_solve(theta[4], drive.T)
-    return w[:, None] * d_sigma2 - (v * d_innov).T
+    """Exact per-observation scores d l_t / d theta, shape (n - 1, 5).
+
+    One forward solve of the five drive rows of `_score_factors`; only the
+    outer product S of the sandwich needs the rows themselves.
+    """
+    innov, sigma2, prev_sq, start_var, w, v = _score_factors(x, theta)
+    drive = np.empty((5, innov.size))
+    drive[:2, 0] = 0.0
+    drive[0, 1:] = -2.0 * theta[3] * innov[:-1]
+    drive[1, 1:] = drive[0, 1:] * x[:-2]
+    drive[2] = 1.0
+    drive[3] = prev_sq
+    drive[4, 0] = start_var
+    drive[4, 1:] = sigma2[:-1]
+    scores = w[:, None] * _variance_solve(theta[4], drive.T)
+    scores[:, 0] += v
+    scores[:, 1] += v * x[:-1]
+    return scores
+
+
+def _finite_series(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DataError("non-finite value in AR-GARCH series")
+    return x
 
 
 def filter_series(x, params: ArGarchParams) -> FilteredSeries:
     """Run the volatility recursion at fixed parameters.
 
     Deterministic; returns conditional volatilities, standardized residuals
-    and the Gaussian quasi-loglikelihood evaluated at `params`.
+    and the Gaussian quasi-loglikelihood evaluated at `params`.  A series
+    holding NaN or inf is a DataError.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite_series(x)
     if x.size < 2:
         raise EstimationError("need at least two observations to filter")
-    innov, sigma2 = _recursion(x, params.mu, params.phi, params.omega,
-                               params.a, params.b_coef)
+    innov, sigma2, _, _ = _recursion(x, params.mu, params.phi, params.omega,
+                                     params.a, params.b_coef)
     sigma = np.sqrt(sigma2)
     resid = innov / sigma
     ll = float(np.sum(_gaussian_terms(innov, sigma2)))
@@ -242,16 +284,12 @@ def _starts(x) -> list:
 def _neg_loglik(z, x) -> tuple:
     """Negative quasi-loglikelihood at optimizer vector z and its exact gradient in z.
 
-    The gradient is the summed score by the adjoint method: with L the
-    banded matrix of the variance recursion, sum_t w_t d sigma2_t =
-    drive L^-T w, so one backward 1-D solve of w replaces the forward
-    solve of the five drive rows.
+    One `_summed_score` call, its gradient carried to z by the chain rule.
     """
     theta, jac = _unpack(z)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        innov, sigma2, w, drive, v, d_innov = _score_factors(x, theta)
-        ll = float(np.sum(_gaussian_terms(innov, sigma2)))
-        grad = (drive @ _variance_solve(theta[4], w, "T") - d_innov @ v) @ jac
+        ll, score = _summed_score(x, theta)
+        grad = score @ jac
     if not (math.isfinite(ll) and np.all(np.isfinite(grad))):
         return 1e300, np.zeros(5)
     return -ll, -grad
@@ -280,7 +318,7 @@ def fit_qmle(x, compute_se: bool = True,
     Parameters
     ----------
     x : array-like
-        Return series, length >= 200, non-constant.
+        Return series, length >= 200, finite (else DataError), non-constant.
     compute_se : bool
         Attach QMLE sandwich standard errors (skipped in bulk rolling fits).
     start : ArGarchParams, optional
@@ -290,7 +328,7 @@ def fit_qmle(x, compute_se: bool = True,
     -------
     FilteredSeries
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite_series(x)
     if x.size < 200:
         raise EstimationError(f"need at least 200 observations to fit, got {x.size}")
     if np.ptp(x) == 0:
@@ -332,17 +370,18 @@ def fit_qmle(x, compute_se: bool = True,
 def _sandwich_se(x, params: ArGarchParams) -> dict:
     """QMLE sandwich standard errors H^-1 S H^-1 (Bollerslev & Wooldridge 1992).
 
-    S is the outer product of the exact per-observation scores and H the
-    Hessian of the total loglikelihood, taken as central differences of the
-    summed scores; both at the fitted parameters in the original
-    coordinates.  Boundary fits can yield NaN entries; that is reported
-    honestly rather than patched.
+    S is the outer product of the exact per-observation scores (`_scores`)
+    and H the Hessian of the total loglikelihood, taken as central
+    differences of the summed score (`_summed_score`, the gradient the fit
+    itself follows, so no score rows are built for H); both at the fitted
+    parameters in the original coordinates.  Boundary fits can yield NaN
+    entries; that is reported honestly rather than patched.
     """
     theta = params.as_array()
     h = 1e-4 * np.maximum(np.abs(theta), 1e-2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scores = _scores(x, theta)
-        hess = np.column_stack([_scores(x, theta + e).sum(0) - _scores(x, theta - e).sum(0)
+        hess = np.column_stack([_summed_score(x, theta + e)[1] - _summed_score(x, theta - e)[1]
                                 for e in np.diag(h)]) / (2.0 * h)
         hess = 0.5 * (hess + hess.T)
         hinv = np.linalg.pinv(hess)

@@ -84,11 +84,13 @@ def rank_gap_keep_mask(values, gap_days: int, day_index=None) -> np.ndarray:
     trading-day index).  The positive pass visits values > 0 in descending
     order, the negative pass values < 0 in ascending order; ties visit the
     earlier day first.  The passes are independent and a day survives only
-    if removed by neither.
+    if removed by neither.  NaN or inf in `values` is a DataError.
     """
     if gap_days < 1:
         raise ValueError(f"gap_days must be >= 1, got {gap_days}")
     v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise DataError("non-finite value in declustering sample")
     if day_index is None:
         days = np.arange(len(v), dtype=np.int64)
     else:

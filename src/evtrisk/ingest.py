@@ -118,11 +118,15 @@ class ReturnSeries:
         return ReturnSeries(self.dates[index], self.values[index], self.symbol)
 
     def write_csv(self, path) -> None:
+        """Write `date,value` rows, each value as its shortest round-trip repr.
+
+        The bytes are those of `csv.writer` (CRLF line ends, no quoting:
+        ISO dates and finite float reprs hold no delimiter or quote).
+        """
+        rows = map("{},{!r}\r\n".format,
+                   np.datetime_as_string(self.dates).tolist(), self.values.tolist())
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["date", "value"])
-            for d, v in zip(self.dates, self.values):
-                w.writerow([str(d), repr(float(v))])
+            fh.write("date,value\r\n" + "".join(rows))
 
 
 @dataclass(frozen=True, eq=False)

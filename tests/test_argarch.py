@@ -5,7 +5,7 @@ import pytest
 
 import evtrisk as ev
 from evtrisk.argarch import (_gaussian_terms, _neg_loglik, _pack, _recursion, _scores,
-                             _unpack, _variance_solve)
+                             _summed_score, _unpack, _variance_solve)
 from evtrisk.errors import EstimationError
 
 GARCH_TRUTH = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
@@ -158,8 +158,8 @@ def _central_difference_scores(x, theta):
     for i in range(theta.size):
         step = np.zeros_like(theta)
         step[i] = 1e-5 * abs(theta[i])
-        up = _gaussian_terms(*_recursion(x, *(theta + step)))
-        down = _gaussian_terms(*_recursion(x, *(theta - step)))
+        up = _gaussian_terms(*_recursion(x, *(theta + step))[:2])
+        down = _gaussian_terms(*_recursion(x, *(theta - step))[:2])
         cols.append((up - down) / (2.0 * step[i]))
     return np.column_stack(cols)
 
@@ -188,6 +188,23 @@ def test_sandwich_se_matches_frozen_reference():
     se = ev.fit_qmle(x).se
     for name, want in frozen.items():
         assert se[name] == pytest.approx(want, rel=1e-4)
+
+
+def test_full_size_fit_matches_frozen_reference():
+    # fit_qmle(x) of the score code that built (5, n - 1) drive rows per
+    # evaluation, on a case-study-sized series
+    want_loglik = -19717.500036087862
+    want_params = [-0.0540313325570535, 0.061066162846188404, 0.011876847845186344,
+                   0.09981572600671512, 0.8931550099023304]
+    want_se = {"mu": 0.0061448341435096894, "phi": 0.009736519900511498,
+               "omega": 0.001665632496538958, "a": 0.008992741574077109,
+               "b_coef": 0.007987942546560545}
+    x = ev.sim_argarch(GARCH_TRUTH, 15605, 31, innovation="student_t", df=5.0)
+    fit = ev.fit_qmle(x)
+    assert fit.loglik >= want_loglik - 1e-8
+    np.testing.assert_allclose(fit.params.as_array(), want_params, rtol=0, atol=1e-6)
+    for name, want in want_se.items():
+        assert fit.se[name] == pytest.approx(want, rel=1e-6, abs=0)
 
 
 NEAR_INTEGRATED = ev.ArGarchParams(0.0, 0.02, 0.002, 0.12, 0.8799999)
@@ -296,9 +313,13 @@ def test_variance_solve_matches_loop(b_coef, shape, trans):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("point", ["fit", "off-optimum", "past-clamp"])
-def test_adjoint_gradient_matches_forward_scores(point):
-    x = ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0)
+POINTS = ["fit", "off-optimum", "past-clamp"]
+
+
+@pytest.mark.parametrize("point, n", [(p, 2000) for p in POINTS] + [(p, 15605) for p in POINTS],
+                         ids=POINTS + [f"{p}-n15605" for p in POINTS])
+def test_adjoint_gradient_matches_forward_scores(point, n):
+    x = ev.sim_argarch(GARCH_TRUTH, n, 11, innovation="student_t", df=5.0)
     if point == "fit":
         z = _pack(ev.fit_qmle(x, compute_se=False).params)
     else:
@@ -315,3 +336,16 @@ def test_adjoint_gradient_matches_forward_scores(point):
     bound = 1e-10 * (np.abs(scores).sum(0) @ np.abs(jac) if point == "fit"
                      else np.abs(want))
     assert np.all(err <= bound), err / bound
+
+
+def test_summed_score_matches_score_rows_at_the_hessian_points():
+    x = ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0)
+    theta = ev.fit_qmle(x, compute_se=False).params.as_array()
+    h = 1e-4 * np.maximum(np.abs(theta), 1e-2)  # the steps of _sandwich_se
+    for point in [*(theta + np.diag(h)), *(theta - np.diag(h))]:
+        scores = _scores(x, point)
+        ll, got = _summed_score(x, point)
+        assert ll == np.sum(_gaussian_terms(*_recursion(x, *point)[:2]))
+        # near the fit the sums cancel, so rounding is bounded by the magnitudes
+        err = np.abs(got - scores.sum(0))
+        assert np.all(err <= 1e-10 * np.abs(scores).sum(0)), err

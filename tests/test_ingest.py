@@ -1,5 +1,7 @@
 """Price/return ingestion, alignment, and autocorrelation."""
 
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -167,6 +169,27 @@ def test_return_series_roundtrips_through_csv(tmp_path):
     back = ev.load_returns(path, symbol="TST")
     np.testing.assert_array_equal(back.values, r.values)
     np.testing.assert_array_equal(back.dates, r.dates)
+
+
+def test_write_csv_matches_csv_writer_bytes(tmp_path):
+    values = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e16, 0.1 + 0.2, 1.7976931348623157e308,
+                       -2.5, 1e-5, 123456789.125])
+    dates = np.array(["1800-01-01", "1969-12-31", "1970-01-01", "2000-02-29", "2020-01-03",
+                      "2020-01-06", "2024-12-31", "2100-03-01", "9998-01-01", "9999-12-31"],
+                     dtype="datetime64[D]")
+    r = ev.ReturnSeries(dates, values, "EDGE")
+    path = tmp_path / "r.csv"
+    r.write_csv(path)
+    # reference: the row-by-row csv.writer output the fast writer replaced
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["date", "value"])
+    for d, v in zip(dates, values):
+        w.writerow([str(d), repr(float(v))])
+    assert path.read_bytes() == ref.getvalue().encode()
+    back = ev.load_returns(path)
+    assert back.values.tobytes() == values.tobytes()  # -0.0 and subnormals included
+    np.testing.assert_array_equal(back.dates, dates)
 
 
 def test_weekdays_known_dates():

@@ -26,6 +26,9 @@ ESTIMATORS = {
     "extremal_index_sliding": lambda x: ev.extremal_index_sliding(x, 20),
     "chi_hat": lambda x: ev.chi_hat(x, np.roll(x, 1), 50),
     "chi_hat_second_margin": lambda x: ev.chi_hat(np.roll(x, 1), x, 50),
+    "fit_qmle": lambda x: ev.fit_qmle(x, compute_se=False),
+    "filter_series": lambda x: ev.filter_series(x, ev.ArGarchParams(0.0, 0.0, 1.0, 0.1, 0.8)),
+    "rank_gap_keep_mask": lambda x: ev.rank_gap_keep_mask(x, 9),
 }
 
 
