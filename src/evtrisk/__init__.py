@@ -4,52 +4,19 @@ Heavy-tail index and high-quantile estimation, extremal index and
 declustering diagnostics, AR(1)-GARCH(1,1) QMLE filtering, rolling
 quantile-forecast backtesting with coverage tests, block-bootstrap
 confidence intervals, and bivariate tail dependence.
+
+The root re-exports the `__all__` of each submodule, where every public
+name is declared.
 """
 
-from .argarch import (ArGarchParams, FilteredSeries, Forecast, filter_series,
-                      fit_qmle, forecast_next)
-from .backtest import (BacktestReport, CondRollResult, ExceedanceSeries,
-                       SlidingBacktestSummary, TransitionCounts,
-                       UncondRollResult, cc_test, exceedances, ind_test,
-                       method_quantile, roll_conditional, roll_unconditional,
-                       sliding_backtest, uc_test)
-from .bootstrap import BootstrapSpec, percentile_ci, resample, resample_indices
-from .decluster import rank_gap_decluster, rank_gap_keep_mask, weekday_subsample
-from .errors import (ConvergenceError, DataError, EstimationError, EvtriskError,
-                     NegativeGammaError)
-from .extremal import (ExtremalIndexFit, block_maxima_sliding,
-                       extremal_index_sliding, theta_ci, theta_sweep)
-from .ingest import (PairedReturns, PriceSeries, ReturnSeries, acf, align_pairs,
-                     load_prices, load_returns, to_returns)
-from .simulate import sim_argarch, sim_duplicated, sim_frechet, sim_pareto
-from .taildep import (TailDepFit, chi_ci, chi_hat, chi_trace, residual_pair,
-                      t_copula_chi)
-from .tailest import (QuantileEstimate, TailFit, empirical_quantile, hill,
-                      hill_corrected, pareto_qq_points, qq_slope_alpha,
-                      tail_index_trace, weissman_quantile)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArGarchParams", "FilteredSeries", "Forecast", "filter_series", "fit_qmle",
-    "forecast_next",
-    "BacktestReport", "CondRollResult", "ExceedanceSeries",
-    "SlidingBacktestSummary", "TransitionCounts", "UncondRollResult",
-    "cc_test", "exceedances", "ind_test", "method_quantile",
-    "roll_conditional", "roll_unconditional", "sliding_backtest", "uc_test",
-    "BootstrapSpec", "percentile_ci", "resample", "resample_indices",
-    "rank_gap_decluster", "rank_gap_keep_mask", "weekday_subsample",
-    "ConvergenceError", "DataError", "EstimationError", "EvtriskError",
-    "NegativeGammaError",
-    "ExtremalIndexFit", "block_maxima_sliding", "extremal_index_sliding",
-    "theta_ci", "theta_sweep",
-    "PairedReturns", "PriceSeries", "ReturnSeries", "acf", "align_pairs",
-    "load_prices", "load_returns", "to_returns",
-    "sim_argarch", "sim_duplicated", "sim_frechet", "sim_pareto",
-    "TailDepFit", "chi_ci", "chi_hat", "chi_trace", "residual_pair",
-    "t_copula_chi",
-    "QuantileEstimate", "TailFit", "empirical_quantile", "hill",
-    "hill_corrected", "pareto_qq_points", "qq_slope_alpha",
-    "tail_index_trace", "weissman_quantile",
-    "__version__",
-]
+__all__ = ["__version__"]
+for _name in ("argarch", "backtest", "bootstrap", "decluster", "errors", "extremal",
+              "ingest", "simulate", "taildep", "tailest"):
+    _module = import_module(f".{_name}", __name__)
+    globals().update({name: getattr(_module, name) for name in _module.__all__})
+    __all__ += _module.__all__
+del import_module, _name, _module

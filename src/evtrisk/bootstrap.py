@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EstimationError, EvtriskError
 
-__all__ = ["BootstrapSpec", "resample_indices", "resample", "percentile_ci"]
+__all__ = ["BootstrapSpec", "resample_indices", "percentile_ci"]
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,6 @@ def resample_indices(n: int, spec: BootstrapSpec, replicate_index: int) -> np.nd
     seg_len = np.column_stack((head, lengths - head)).ravel()
     seg_offset = np.column_stack((offset, offset - n)).ravel()
     return np.arange(n) + np.repeat(seg_offset, seg_len)
-
-
-def resample(x, spec: BootstrapSpec, replicate_index: int) -> np.ndarray:
-    """One bootstrap resample of x (length preserved)."""
-    x = np.asarray(x)
-    return x[resample_indices(len(x), spec, replicate_index)]
 
 
 def percentile_ci(x, statistic, spec: BootstrapSpec) -> tuple:

@@ -132,6 +132,14 @@ def _parse_methods(text: str) -> tuple:
     return methods
 
 
+def _parse_test_lens(text: str) -> tuple:
+    """Comma-separated test span lengths, each of at least 2 days."""
+    test_lens = tuple(int(t) for t in text.split(","))
+    if min(test_lens) < 2:
+        raise ValueError(f"test lengths must be at least 2, got {text!r}")
+    return test_lens
+
+
 def _boot_spec(args, level: float) -> BootstrapSpec:
     return BootstrapSpec(replicates=args.boot_reps, mean_block=args.boot_mean_block,
                          seed=args.boot_seed, level=level)
@@ -264,9 +272,9 @@ def _sliding_tests(exceedances_by_method: dict, test_lens, level: float) -> dict
 
 
 def _cmd_backtest_uncond(args) -> None:
-    r = _load_series(args.input)
     methods = _parse_methods(args.methods)
-    test_lens = tuple(int(t) for t in args.test_len.split(","))
+    test_lens = _parse_test_lens(args.test_len)
+    r = _load_series(args.input)
     res = roll_unconditional(r, window=args.window, step=args.step, p=args.p,
                              methods=methods, test_lens=test_lens)
     rows = []
@@ -276,9 +284,11 @@ def _cmd_backtest_uncond(args) -> None:
                 c = res.counts[m][L][j]
                 rows.append((int(s), m, repr(float(res.forecasts[m][j])), L,
                              "" if np.isnan(c) else int(c)))
+    # a test length that no window completes has no mean count
     summary = {"windows": int(res.starts.size), "window": args.window,
                "step": args.step, "p": args.p,
-               "mean_counts": {m: {str(L): res.mean_count(m, L) for L in test_lens}
+               "mean_counts": {m: {str(L): res.mean_count(m, L) for L in test_lens
+                                   if not np.isnan(res.counts[m][L]).all()}
                                for m in methods},
                "tests": _sliding_tests(res.daily, test_lens, args.level)}
     plots = {"windows": (["window_start", "method", "forecast", "test_len", "count"], rows)}
@@ -286,9 +296,9 @@ def _cmd_backtest_uncond(args) -> None:
 
 
 def _cmd_backtest_cond(args) -> None:
-    r = _load_series(args.input)
     methods = _parse_methods(args.methods)
-    test_lens = tuple(int(t) for t in args.test_len.split(","))
+    test_lens = _parse_test_lens(args.test_len)
+    r = _load_series(args.input)
     res = roll_conditional(r, window=args.window, step=args.step, p=args.p,
                            methods=methods)
     rows = []
@@ -441,26 +451,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resid-method", choices=list(METHODS), default="empirical")
     p.set_defaults(func=_cmd_garch)
 
-    p = sub.add_parser("backtest-uncond", parents=[common, inp],
+    backtest = argparse.ArgumentParser(add_help=False)
+    backtest.add_argument("--window", type=int, default=2000)
+    backtest.add_argument("--test-len", default="250,2000",
+                          help="comma-separated test span lengths, each >= 2")
+    backtest.add_argument("--p", type=float, default=0.99)
+    backtest.add_argument("--methods", default=",".join(METHODS))
+    backtest.add_argument("--level", type=float, default=0.05,
+                          help="test level for rejection fractions")
+
+    p = sub.add_parser("backtest-uncond", parents=[common, inp, backtest],
                        help="rolling unconditional quantile backtest")
-    p.add_argument("--window", type=int, default=2000)
     p.add_argument("--step", type=int, default=250)
-    p.add_argument("--test-len", default="250,2000",
-                   help="comma-separated test span lengths")
-    p.add_argument("--p", type=float, default=0.99)
-    p.add_argument("--methods", default=",".join(METHODS))
-    p.add_argument("--level", type=float, default=0.05,
-                   help="test level for rejection fractions")
     p.set_defaults(func=_cmd_backtest_uncond)
 
-    p = sub.add_parser("backtest-cond", parents=[common, inp],
+    p = sub.add_parser("backtest-cond", parents=[common, inp, backtest],
                        help="daily AR-GARCH conditional quantile backtest")
-    p.add_argument("--window", type=int, default=2000)
     p.add_argument("--step", type=int, default=1)
-    p.add_argument("--test-len", default="250,2000")
-    p.add_argument("--p", type=float, default=0.99)
-    p.add_argument("--methods", default=",".join(METHODS))
-    p.add_argument("--level", type=float, default=0.05)
     p.set_defaults(func=_cmd_backtest_cond)
 
     p = sub.add_parser("chi", parents=[common, boot, ci_level],

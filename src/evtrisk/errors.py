@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = ["EvtriskError", "DataError", "EstimationError", "NegativeGammaError",
+           "ConvergenceError"]
+
 
 class EvtriskError(Exception):
     """Base class for all errors raised by evtrisk."""

@@ -10,6 +10,11 @@ maximum M_{i,i+b} through the empirical CDF,
 and inverts the mean: theta_hat = 1 / mean(Y).  Sampling noise can push
 the reciprocal above 1, so the reported estimate is clamped to (0, 1] with
 the raw value kept alongside.
+
+F_n sees the data only through their ranks, so the estimate is computed
+from the ranks: F_n of a window maximum is the count of points at or below
+its rank, over n.  The point estimate and each block-bootstrap replicate
+run that one computation.
 """
 
 from __future__ import annotations
@@ -82,42 +87,36 @@ def _window_maxima(x: np.ndarray, w: int) -> np.ndarray:
 
 
 def extremal_index_sliding(x, b: int) -> ExtremalIndexFit:
-    """Sliding-blocks estimate of the extremal index.
+    """Sliding-blocks estimate of the extremal index, computed from the ranks of x.
 
     The empirical CDF uses denominator n, so the sample maximum maps to
     F_n = 1 and contributes a zero pseudo-observation; it is retained.
-    Rank-based through F_n, the estimate is invariant under strictly
-    increasing transforms of x.
+    Depending on x through its ranks alone, the estimate is invariant under
+    strictly increasing transforms of x.
     """
+    return _fit_on_ranks(_dense_ranks(x), b)
+
+
+def _dense_ranks(x) -> np.ndarray:
+    """Ranks 0, 1, ... of the distinct values of x, ties sharing a rank."""
     x = np.asarray(x, dtype=float)
-    n = len(x)
     if not np.isfinite(x).all():
         raise DataError("non-finite value in extremal index sample")
-    if np.ptp(x) == 0:
-        raise EstimationError("constant series: extremal index undefined")
-    maxima = block_maxima_sliding(x, b)
-    return _fit_from_ecdf(np.searchsorted(np.sort(x), maxima, side="right") / n, b)
+    return np.unique(x, return_inverse=True)[1]
 
 
-def _theta_on_ranks(ranks: np.ndarray, b: int) -> float:
-    """extremal_index_sliding(x, b).theta from the dense ranks of finite x.
+def _fit_on_ranks(ranks: np.ndarray, b: int) -> ExtremalIndexFit:
+    """The estimate from integer ranks, dense or not, at block size b.
 
-    Equal in value, and in the errors it raises, because F_n of a window
-    maximum is the count of points at or below its rank: a cumulative
-    bincount, with no sort.
+    F_n of a window maximum is the count of points at or below its rank: a
+    cumulative bincount indexed by the window maxima of the ranks.
     """
     n = len(ranks)
     if np.ptp(ranks) == 0:
         raise EstimationError("constant series: extremal index undefined")
     _check_block_size(b, n)
     at_or_below = np.cumsum(np.bincount(ranks))
-    return _fit_from_ecdf(at_or_below[_window_maxima(ranks, b + 1)] / n, b).theta
-
-
-def _fit_from_ecdf(ecdf: np.ndarray, b: int) -> ExtremalIndexFit:
-    """The estimate from F_n at the n-b window maxima."""
-    n = len(ecdf) + b
-    y = -b * np.log(ecdf)
+    y = -b * np.log(at_or_below[_window_maxima(ranks, b + 1)] / n)
     mean_y = float(np.mean(y))
     if mean_y == 0.0:
         raise EstimationError(
@@ -152,14 +151,10 @@ def theta_ci(fit: ExtremalIndexFit, x, level: float = 0.95,
         from .bootstrap import BootstrapSpec, percentile_ci
 
         spec = replace(boot_spec or BootstrapSpec(), level=level)
-        x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            raise DataError("non-finite value in extremal index sample")
-        # the estimate depends on x through its ranks only: rank once, and
-        # resample the ranks
-        ranks = np.unique(x, return_inverse=True)[1]
+        # rank once, and resample the ranks
         b = fit.block_size
-        lower, upper, _ = percentile_ci(ranks, lambda rs: _theta_on_ranks(rs, b), spec)
+        lower, upper, _ = percentile_ci(_dense_ranks(x),
+                                        lambda rs: _fit_on_ranks(rs, b).theta, spec)
         return lower, upper
     raise ValueError(f"unknown CI method {method!r}")
 

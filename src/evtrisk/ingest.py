@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
+    "PairedReturns",
     "PriceSeries",
     "ReturnSeries",
     "load_prices",

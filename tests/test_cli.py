@@ -404,3 +404,38 @@ def test_manifests_list_series_outputs(argarch_csv, tmp_path):
     assert _read_json(out / "garch_manifest.json")["outputs"] == [
         "garch_report.json", "sub/resid.csv"]
     assert len(ev.load_returns(out / "sub" / "resid.csv")) == 1200 - 1
+
+
+@pytest.mark.parametrize("command, roll", [("backtest-cond", "roll_conditional"),
+                                           ("backtest-uncond", "roll_unconditional")])
+@pytest.mark.parametrize("test_len", ["1", "250,1", "0", "-5"])
+def test_short_test_len_exits_1_before_any_fit(argarch_csv, tmp_path, capsys,
+                                               monkeypatch, command, roll, test_len):
+    def refuse(*args, **kwargs):
+        pytest.fail(f"{roll} ran although --test-len {test_len} is refused")
+
+    monkeypatch.setattr(f"evtrisk.cli.{roll}", refuse)
+    code = _run(command, "--input", argarch_csv, "--window", 1000,
+                "--test-len", test_len, "--out-dir", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
+def test_backtest_uncond_leaves_out_lengths_no_window_completes(argarch_csv, tmp_path):
+    out = tmp_path / "bu"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run("backtest-uncond", "--input", argarch_csv, "--window", 1000,
+                    "--step", 100, "--test-len", "100,5000", "--out-dir", out)
+    assert code == 0
+    report = json.loads((out / "backtest_uncond_report.json").read_text(),
+                        parse_constant=_refuse_constant)
+    for m in ("hill", "corrected", "empirical"):
+        assert list(report["mean_counts"][m]) == ["100"]
+        assert list(report["tests"][m]) == ["100"]

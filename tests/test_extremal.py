@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 import evtrisk as ev
 from evtrisk.errors import DataError, EstimationError
-from evtrisk.extremal import _theta_on_ranks, _window_maxima
+from evtrisk.extremal import _fit_on_ranks, _window_maxima
 
 
 def test_block_maxima_by_hand():
@@ -68,6 +68,26 @@ def test_duplicated_series_theta_inverse_m(duplication_thetas):
 @pytest.mark.slow
 def test_iid_ci_coverage(theta_iid_coverage):
     assert theta_iid_coverage >= 0.90
+
+
+def _oracle(x, b):
+    """(theta, theta_raw) from the direct window maxima and F_n by searchsorted."""
+    maxima = sliding_window_view(x, b + 1).max(axis=1)
+    ecdf = np.searchsorted(np.sort(x), maxima, side="right") / len(x)
+    theta_raw = 1.0 / float(np.mean(-b * np.log(ecdf)))
+    return min(theta_raw, 1.0), theta_raw
+
+
+@pytest.mark.parametrize("b", [2, 7, 40, 255, 256, 999])
+def test_estimate_equals_the_direct_oracle_bit_for_bit(b):
+    raw = ev.sim_argarch(ev.ArGarchParams(0.0, 0.1, 0.2, 0.15, 0.8), 3000, b)
+    samples = {"raw": raw, "tied": np.round(raw, 1),
+               "duplicated": ev.sim_duplicated(
+                   lambda c, s: ev.sim_frechet(1.0, c, s), 3, 3000, b)}
+    for name, x in samples.items():
+        fit = ev.extremal_index_sliding(x, b)
+        assert (fit.theta, fit.theta_raw) == _oracle(x, b), name
+        assert (fit.n, fit.pseudo_obs_count, fit.block_size) == (3000, 3000 - b, b)
 
 
 def test_rank_invariance():
@@ -178,7 +198,7 @@ def test_rank_statistic_equals_the_estimate_on_each_resample(x, b, mean_block, o
     for r in range(200):
         idx = ev.resample_indices(len(x), spec, r)
         want = _theta_or_error(lambda: ev.extremal_index_sliding(x[idx], b).theta)
-        assert _theta_or_error(lambda: _theta_on_ranks(ranks[idx], b)) == want
+        assert _theta_or_error(lambda: _fit_on_ranks(ranks[idx], b).theta) == want
         seen.add(_outcome(want))
     assert seen == outcomes
 

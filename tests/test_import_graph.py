@@ -1,9 +1,12 @@
-"""The import graph: evtrisk loads neither scipy.stats nor scipy.signal.
+"""The import graph and the public names of the package root.
 
-Those two subpackages cost about half of `import evtrisk`, which every CLI
-call pays, and nothing in evtrisk needs them.  Each check runs in a fresh
-interpreter, because the test session itself imports scipy.stats as an
-oracle.
+evtrisk loads neither scipy.stats nor scipy.signal.  Those two subpackages
+cost about half of `import evtrisk`, which every CLI call pays, and nothing
+in evtrisk needs them.  That check runs in a fresh interpreter, because the
+test session itself imports scipy.stats as an oracle.
+
+The root declares no public name itself: it re-exports the `__all__` of
+each submodule.
 """
 
 import json
@@ -39,3 +42,20 @@ def test_evtrisk_loads_neither_scipy_stats_nor_scipy_signal(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == {"import": [], "tail": []}
+
+
+def test_root_exports_exactly_the_submodules_public_names():
+    import importlib
+
+    import evtrisk
+
+    modules = ("argarch", "backtest", "bootstrap", "decluster", "errors", "extremal",
+               "ingest", "simulate", "taildep", "tailest")
+    declared = {"__version__"}
+    for name in modules:
+        module = importlib.import_module(f"evtrisk.{name}")
+        declared.update(module.__all__)
+        for public in module.__all__:
+            assert getattr(evtrisk, public) is getattr(module, public)
+    assert len(evtrisk.__all__) == len(set(evtrisk.__all__))
+    assert set(evtrisk.__all__) == declared
