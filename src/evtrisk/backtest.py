@@ -32,7 +32,7 @@ from scipy.special import chdtrc, gammaincinv, xlogy
 from .argarch import filter_series, fit_qmle, forecast_next
 from .errors import ConvergenceError, EstimationError, NegativeGammaError
 from .ingest import ReturnSeries
-from .tailest import empirical_quantile, hill, hill_corrected, weissman_quantile
+from .tailest import TAIL_ESTIMATORS, empirical_quantile, weissman_quantile
 
 __all__ = [
     "ExceedanceSeries",
@@ -57,6 +57,7 @@ METHODS = ("hill", "corrected", "empirical")
 K_ALPHA_HILL = 50
 K_ALPHA_CORRECTED = 200
 K_WEISSMAN = 50
+_K_ALPHA = {"hill": K_ALPHA_HILL, "corrected": K_ALPHA_CORRECTED}
 
 # roll_conditional fits cold (from fit_qmle's fixed starts) on fits 0, 250,
 # 500, ...; the fits in between start warm from the previous day's parameters
@@ -71,12 +72,12 @@ class ExceedanceSeries:
     p: float
 
     def __post_init__(self):
-        ind = np.asarray(self.indicators, dtype=np.int8)
-        if ind.size and not np.isin(ind, (0, 1)).all():
+        raw = np.asarray(self.indicators)
+        if raw.size and not np.isin(raw, (0, 1)).all():
             raise ValueError("indicators must be 0/1")
         if not 0 < self.p < 1:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
-        object.__setattr__(self, "indicators", ind)
+        object.__setattr__(self, "indicators", raw.astype(np.int8, copy=False))
 
     @property
     def n(self) -> int:
@@ -249,18 +250,15 @@ def method_quantile(x, p: float, method: str) -> float:
     A bias correction that turns nonpositive falls back to the plain Hill
     fit carried by the error.
     """
-    if method == "hill":
-        fit = hill(x, K_ALPHA_HILL)
-        return weissman_quantile(x, p, K_WEISSMAN, fit).value
-    if method == "corrected":
-        try:
-            fit = hill_corrected(x, K_ALPHA_CORRECTED)
-        except NegativeGammaError as err:
-            fit = err.fallback
-        return weissman_quantile(x, p, K_WEISSMAN, fit).value
     if method == "empirical":
         return empirical_quantile(x, p)
-    raise ValueError(f"unknown quantile method {method!r}")
+    if method not in _K_ALPHA:
+        raise ValueError(f"unknown quantile method {method!r}")
+    try:
+        fit = TAIL_ESTIMATORS[method](x, _K_ALPHA[method], -1.0)
+    except NegativeGammaError as err:
+        fit = err.fallback
+    return weissman_quantile(x, p, K_WEISSMAN, fit).value
 
 
 def _series_values(r) -> np.ndarray:
@@ -290,7 +288,10 @@ class UncondRollResult:
     daily_start: int
 
     def mean_count(self, method: str, test_len: int) -> float:
-        return float(np.nanmean(self.counts[method][test_len]))
+        counts = self.counts[method][test_len]
+        if np.isnan(counts).all():
+            raise ValueError(f"no window completes a test span of {test_len} days")
+        return float(np.nanmean(counts))
 
 
 def roll_unconditional(r, window: int = 2000, step: int = 250, p: float = 0.99,
@@ -350,7 +351,7 @@ class CondRollResult:
     cold_days: np.ndarray
 
     def mean_count(self, method: str, test_len: int) -> float:
-        return float(np.mean(_moving_sum(self.exceedances[method].indicators, test_len)))
+        return sliding_backtest(self.exceedances[method], test_len).mean_count
 
 
 def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,

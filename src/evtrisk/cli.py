@@ -33,13 +33,9 @@ from .extremal import extremal_index_sliding, theta_ci, theta_sweep
 from .ingest import ReturnSeries, acf, align_pairs, load_prices, load_returns, to_returns
 from .simulate import sim_argarch, sim_duplicated, sim_frechet, sim_pareto
 from .taildep import chi_ci, chi_hat, chi_trace, residual_pair
-from .tailest import (CORRECTED_HILL, QQ_REGRESSION, STANDARD_HILL, TAIL_ESTIMATORS,
-                      tail_index_trace, weissman_quantile)
+from .tailest import TAIL_ESTIMATORS, tail_index_trace, weissman_quantile
 
 SCHEMA_VERSION = 1
-
-# tail --method choice -> tailest.TAIL_ESTIMATORS key
-TAIL_METHODS = {"hill": STANDARD_HILL, "corrected": CORRECTED_HILL, "qq": QQ_REGRESSION}
 
 
 def _sha256(path: str) -> str:
@@ -54,15 +50,11 @@ def _load_series(path: str) -> ReturnSeries:
         raise DataError(f"{path}: expected a header row with a date and a value "
                         "or price column")
     names = [h.strip().lower() for h in header]
-    date_col = header[names.index("date")] if "date" in names else header[0]
     if "value" in names:
         return load_returns(path)
-    for candidate in ("close", "adj close", "adj_close", "price"):
-        if candidate in names:
-            price_col = header[names.index(candidate)]
-            break
-    else:
-        price_col = header[1]
+    date_col = "date" if "date" in names else names[0]
+    price_col = next((c for c in ("close", "adj close", "adj_close", "price")
+                      if c in names), names[1])
     prices = load_prices(path, date_col=date_col, price_col=price_col,
                          symbol=Path(path).stem)
     return to_returns(prices)
@@ -133,10 +125,12 @@ def _parse_methods(text: str) -> tuple:
 
 
 def _parse_test_lens(text: str) -> tuple:
-    """Comma-separated test span lengths, each of at least 2 days."""
+    """Comma-separated distinct test span lengths, each of at least 2 days."""
     test_lens = tuple(int(t) for t in text.split(","))
     if min(test_lens) < 2:
         raise ValueError(f"test lengths must be at least 2, got {text!r}")
+    if len(set(test_lens)) < len(test_lens):
+        raise ValueError(f"test lengths must be distinct, got {text!r}")
     return test_lens
 
 
@@ -150,8 +144,7 @@ def _boot_spec(args, level: float) -> BootstrapSpec:
 def _cmd_tail(args) -> None:
     r = _load_series(args.input)
     x = r.values
-    method = TAIL_METHODS[args.method]
-    estimate = TAIL_ESTIMATORS[method]
+    estimate = TAIL_ESTIMATORS[args.method]
 
     fit = estimate(x, args.k_alpha, args.rho)
     report = {"input": args.input, "n": len(x), "method": args.method,
@@ -172,7 +165,7 @@ def _cmd_tail(args) -> None:
 
     plots = {}
     if args.k_grid:
-        trace = tail_index_trace(x, _parse_grid(args.k_grid), method=method,
+        trace = tail_index_trace(x, _parse_grid(args.k_grid), method=args.method,
                                  rho=args.rho)
         rows = [(f.k_alpha, f.alpha, f.gamma) for f in trace]
         plots["trace"] = (["k", "alpha", "gamma"], rows)
@@ -415,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", parents=[common, inp, boot, ci_level],
                        help="tail index and high quantile estimation")
-    p.add_argument("--method", choices=list(TAIL_METHODS), default="hill")
+    p.add_argument("--method", choices=list(TAIL_ESTIMATORS), default="hill")
     p.add_argument("--k-alpha", type=int, required=True,
                    help="number of top order statistics for the index")
     p.add_argument("--rho", type=float, default=-1.0,
@@ -454,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     backtest = argparse.ArgumentParser(add_help=False)
     backtest.add_argument("--window", type=int, default=2000)
     backtest.add_argument("--test-len", default="250,2000",
-                          help="comma-separated test span lengths, each >= 2")
+                          help="comma-separated distinct test span lengths, each >= 2")
     backtest.add_argument("--p", type=float, default=0.99)
     backtest.add_argument("--methods", default=",".join(METHODS))
     backtest.add_argument("--level", type=float, default=0.05,

@@ -147,18 +147,22 @@ class PairedReturns:
 def _read_columns(path, date_col: str, value_col: str):
     """Date and value columns of a CSV file with a header row.
 
-    Rows blank in both cells are skipped and missing cells read as blank; any
-    other row that does not parse is a DataError naming its physical line.
+    Column names match header cells stripped and lower-cased, so `Date`,
+    ` date ` and `date` name the same column.  Rows blank in both cells are
+    skipped and missing cells read as blank; any other row that does not
+    parse is a DataError naming its physical line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file, header row required")
-        missing = {date_col, value_col} - set(header)
+        names = [cell.strip().lower() for cell in header]
+        wanted = date_col.strip().lower(), value_col.strip().lower()
+        missing = set(wanted) - set(names)
         if missing:
             raise DataError(f"{path}: missing column(s) {sorted(missing)}")
-        get = itemgetter(header.index(date_col), header.index(value_col))
+        get = itemgetter(*map(names.index, wanted))
         try:  # blank lines dropped; the header makes both columns exist
             dates, values = zip(get(header), *map(get, filter(None, reader)))
             return (np.array(dates[1:], dtype="datetime64[D]"),

@@ -37,11 +37,6 @@ __all__ = [
     "TAIL_ESTIMATORS",
 ]
 
-STANDARD_HILL = "standard_hill"
-CORRECTED_HILL = "corrected_hill"
-QQ_REGRESSION = "qq_regression"
-
-
 @dataclass(frozen=True)
 class TailFit:
     """A fitted extreme value index gamma (tail index alpha = 1/gamma)."""
@@ -115,7 +110,7 @@ def qq_slope_alpha(points) -> TailFit:
     slope, _ = np.polyfit(u, v, 1)
     if slope <= 0:
         raise EstimationError(f"nonpositive quantile-plot slope {slope:.4g}")
-    return TailFit(gamma=float(slope), k_alpha=len(pts), method=QQ_REGRESSION, n=len(pts))
+    return TailFit(gamma=float(slope), k_alpha=len(pts), method="qq", n=len(pts))
 
 
 def _log_excesses(x: np.ndarray, k_alpha: int) -> np.ndarray:
@@ -132,7 +127,7 @@ def hill(x, k_alpha: int) -> TailFit:
     m1 = float(np.mean(_log_excesses(x, k_alpha)))
     if m1 == 0.0:
         raise EstimationError("all top order statistics equal; Hill estimate degenerate")
-    return TailFit(gamma=m1, k_alpha=k_alpha, method=STANDARD_HILL, n=len(x))
+    return TailFit(gamma=m1, k_alpha=k_alpha, method="hill", n=len(x))
 
 
 def hill_corrected(x, k_alpha: int, rho: float = -1.0) -> TailFit:
@@ -159,11 +154,11 @@ def hill_corrected(x, k_alpha: int, rho: float = -1.0) -> TailFit:
     t = m2 / (2.0 * m1)
     gamma = (m1 - (1.0 - rho) * t) / rho
     if gamma <= 0:
-        fallback = TailFit(gamma=m1, k_alpha=k_alpha, method=STANDARD_HILL, n=len(x))
+        fallback = TailFit(gamma=m1, k_alpha=k_alpha, method="hill", n=len(x))
         raise NegativeGammaError(
             f"bias correction gave nonpositive index {gamma:.4g} at k={k_alpha}; "
             "uncorrected estimate attached", fallback=fallback)
-    return TailFit(gamma=gamma, k_alpha=k_alpha, method=CORRECTED_HILL, n=len(x), rho=rho)
+    return TailFit(gamma=gamma, k_alpha=k_alpha, method="corrected", n=len(x), rho=rho)
 
 
 def weissman_quantile(x, p: float, k: int, fit: TailFit) -> QuantileEstimate:
@@ -198,17 +193,18 @@ def empirical_quantile(x, p: float) -> float:
     return float(np.partition(x, idx - 1)[idx - 1])
 
 
-# method name -> (x, k, rho) -> TailFit.  The entries call the estimators
-# through the module globals, so a wrapper installed on this module (a
-# profiler, a test double) sees every call made through the table.
+# method name (as `tail --method` and the backtests take it, and as
+# TailFit.method records it) -> (x, k, rho) -> TailFit.  The entries call the
+# estimators through the module globals, so a wrapper installed on this
+# module (a profiler, a test double) sees every call made through the table.
 TAIL_ESTIMATORS = {
-    STANDARD_HILL: lambda x, k, rho: hill(x, k),
-    CORRECTED_HILL: lambda x, k, rho: hill_corrected(x, k, rho=rho),
-    QQ_REGRESSION: lambda x, k, rho: qq_slope_alpha(pareto_qq_points(x, k)),
+    "hill": lambda x, k, rho: hill(x, k),
+    "corrected": lambda x, k, rho: hill_corrected(x, k, rho=rho),
+    "qq": lambda x, k, rho: qq_slope_alpha(pareto_qq_points(x, k)),
 }
 
 
-def tail_index_trace(x, k_grid, method: str = STANDARD_HILL, rho: float = -1.0) -> list:
+def tail_index_trace(x, k_grid, method: str = "hill", rho: float = -1.0) -> list:
     """Tail fits over a grid of k values (for stability plots).
 
     Grid points where the estimator is undefined are skipped.

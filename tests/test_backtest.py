@@ -1,6 +1,7 @@
 """Coverage tests (UC/IND/CC), sliding aggregation, and rolling forecasts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -387,3 +388,41 @@ def test_sliding_rejection_rates_equal_the_chi2_oracle(level):
     assert summary.reject_uc == float(np.mean(lr_uc > crit1))
     assert summary.reject_ind == float(np.mean(lr_ind > crit1))
     assert summary.reject_cc == float(np.mean(lr_uc + lr_ind > crit2))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.7, -1])
+def test_exceedance_series_refuses_values_other_than_0_and_1(bad):
+    with pytest.raises(ValueError, match="0/1"):
+        ev.ExceedanceSeries([0, bad, 1], 0.05)
+
+
+@pytest.mark.parametrize("good", [[0, 1, 0], np.array([False, True, False]),
+                                  [0.0, 1.0, 0.0]])
+def test_exceedance_series_accepts_ints_bools_and_integral_floats(good):
+    e = ev.ExceedanceSeries(good, 0.05)
+    assert e.indicators.dtype == np.int8
+    np.testing.assert_array_equal(e.indicators, [0, 1, 0])
+    assert e.n1 == 1
+
+
+def test_uncond_mean_count_refuses_a_length_no_window_completes():
+    x = ev.sim_pareto(3.0, 2300, 5)
+    res = ev.roll_unconditional(x, window=1000, step=250, methods=("empirical",),
+                                test_lens=(250, 5000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert res.mean_count("empirical", 250) == np.mean(res.counts["empirical"][250])
+        with pytest.raises(ValueError, match="5000"):
+            res.mean_count("empirical", 5000)
+
+
+def test_cond_mean_count_is_the_sliding_mean_count():
+    ind = (np.random.default_rng(4).uniform(size=300) < 0.05).astype(np.int8)
+    res = ev.CondRollResult(window=100, step=1, p=0.95, days=np.arange(300),
+                            forecasts={}, exceedances={"hill": ev.ExceedanceSeries(ind, 0.05)},
+                            refit_failures=np.array([], dtype=np.int64),
+                            cold_days=np.array([], dtype=np.int64))
+    want = np.mean(np.array([ind[s:s + 50].sum() for s in range(251)]))
+    assert res.mean_count("hill", 50) == want
+    with pytest.raises(ValueError, match="test_len"):
+        res.mean_count("hill", 301)

@@ -408,7 +408,7 @@ def test_manifests_list_series_outputs(argarch_csv, tmp_path):
 
 @pytest.mark.parametrize("command, roll", [("backtest-cond", "roll_conditional"),
                                            ("backtest-uncond", "roll_unconditional")])
-@pytest.mark.parametrize("test_len", ["1", "250,1", "0", "-5"])
+@pytest.mark.parametrize("test_len", ["1", "250,1", "0", "-5", "100,100"])
 def test_short_test_len_exits_1_before_any_fit(argarch_csv, tmp_path, capsys,
                                                monkeypatch, command, roll, test_len):
     def refuse(*args, **kwargs):
@@ -439,3 +439,66 @@ def test_backtest_uncond_leaves_out_lengths_no_window_completes(argarch_csv, tmp
     for m in ("hill", "corrected", "empirical"):
         assert list(report["mean_counts"][m]) == ["100"]
         assert list(report["tests"][m]) == ["100"]
+
+
+def test_tail_method_choices_are_the_estimator_table(pareto_csv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tail", "--help"])
+    assert exc.value.code == 0
+    assert "--method {hill,corrected,qq}" in capsys.readouterr().out
+    for method in ev.TAIL_ESTIMATORS:
+        out = tmp_path / method
+        assert _run("tail", "--input", pareto_csv, "--method", method,
+                    "--k-alpha", 100, "--out-dir", out) == 0
+        assert _read_json(out / "tail_report.json")["method"] == method
+
+
+def test_theta_grid_degenerate_everywhere_exits_1(tmp_path, capsys):
+    # every window of 20 or more days holds one of the spikes
+    x = np.random.default_rng(0).uniform(size=400)
+    x[::10] = 5.0
+    dates = np.busday_offset(np.datetime64("2000-01-03"), np.arange(400), roll="forward")
+    ev.ReturnSeries(dates, x).write_csv(tmp_path / "spikes.csv")
+    code = _run("theta", "--input", tmp_path / "spikes.csv", "--block-grid", "20:40:10",
+                "--out-dir", tmp_path / "o")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: extremal index degenerate at every grid block size\n")
+    assert not (tmp_path / "o").exists()
+
+
+# the arguments of each subcommand that reads --input, sized for the 1,200-day file
+INPUT_COMMANDS = {
+    "tail": ["--k-alpha", 100, "--p", 0.999],
+    "theta": ["--block-size", 50],
+    "decluster": ["--method", "gap", "--gap-days", 5],
+    "garch": ["--forecast", "--resid-method", "corrected"],
+    "backtest-uncond": ["--window", 1000, "--step", 100, "--test-len", 100],
+    "backtest-cond": ["--window", 1170, "--test-len", 20],
+    "acf": [],
+}
+
+
+@pytest.mark.parametrize("header", ["Date,Value", " date , value "])
+def test_header_case_and_spaces_change_no_report(argarch_csv, tmp_path, header):
+    text = argarch_csv.read_text()
+    assert text.startswith("date,value")
+    odd = tmp_path / "odd.csv"
+    odd.write_text(header + text[len("date,value"):])
+    want, got = ev.load_returns(argarch_csv), ev.load_returns(odd)
+    np.testing.assert_array_equal(got.dates, want.dates)
+    np.testing.assert_array_equal(got.values, want.values)
+
+    def report(name, command, *args):
+        out = tmp_path / name / command
+        assert _run(command, *args, "--out-dir", out) == 0, command
+        rep = _read_json(out / f"{command.replace('-', '_')}_report.json")
+        rep.pop("input", None)
+        rep.pop("pair", None)
+        return rep
+
+    for command, args in INPUT_COMMANDS.items():
+        assert (report("odd", command, "--input", odd, *args)
+                == report("lower", command, "--input", argarch_csv, *args))
+    assert (report("odd", "chi", "--pair", odd, odd, "--k", 50)
+            == report("lower", "chi", "--pair", argarch_csv, argarch_csv, "--k", 50))

@@ -210,3 +210,18 @@ def test_bootstrap_ci_refuses_non_finite_data():
     spec = ev.BootstrapSpec(replicates=9, mean_block=50.0, seed=1)
     with pytest.raises(DataError):
         ev.theta_ci(fit, x, method="block_bootstrap", boot_spec=spec)
+
+
+def _spiked_uniform():
+    """400 uniform draws with 5.0 at every 10th position: each window of 20 or
+    more days holds a spike, so its maximum is the sample maximum."""
+    x = np.random.default_rng(0).uniform(size=400)
+    x[::10] = 5.0
+    return x
+
+
+def test_sweep_skips_a_degenerate_block_size():
+    x = _spiked_uniform()
+    with pytest.raises(EstimationError):
+        ev.extremal_index_sliding(x, 20)
+    assert [f.block_size for f in ev.theta_sweep(x, [5, 20, 30])] == [5]

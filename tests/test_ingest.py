@@ -248,3 +248,17 @@ def test_acf_is_exact_for_huge_values_and_refuses_non_finite():
     for bad in (np.nan, np.inf):
         with pytest.raises(DataError, match="non-finite"):
             ev.acf(np.r_[bad, np.zeros(9)], 2)
+
+
+@pytest.mark.parametrize("load, header", [
+    (ev.load_prices, " DATE , close "), (ev.load_prices, "date,CLOSE"),
+    (ev.load_returns, "Date,Value"), (ev.load_returns, " date , value "),
+    (ev.load_returns, "Date,value")])
+def test_loaders_match_column_names_ignoring_case_and_spaces(tmp_path, load, header):
+    p = tmp_path / "x.csv"
+    p.write_text(f"{header}\n2020-01-01,1.5\n2020-01-02,2.5\n")
+    series = load(p)
+    values = series.prices if load is ev.load_prices else series.values
+    np.testing.assert_array_equal(values, [1.5, 2.5])
+    np.testing.assert_array_equal(series.dates, np.array(["2020-01-01", "2020-01-02"],
+                                                         dtype="datetime64[D]"))

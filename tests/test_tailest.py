@@ -149,3 +149,10 @@ def test_weissman_overflow_is_an_estimation_error():
     x = np.array([5e-254, 1.0, 1.0, 1.0])
     with pytest.raises(EstimationError, match="overflows"):
         ev.weissman_quantile(x, 0.99, 3, ev.hill(x, 3))
+
+
+def test_tail_estimators_are_keyed_by_the_method_they_record():
+    assert set(ev.TAIL_ESTIMATORS) == {"hill", "corrected", "qq"}
+    x = ev.sim_pareto(2.0, 2000, 13)
+    for method, estimate in ev.TAIL_ESTIMATORS.items():
+        assert estimate(x, 200, -1.0).method == method
