@@ -30,7 +30,8 @@ from .bootstrap import BootstrapSpec, percentile_ci
 from .decluster import rank_gap_decluster, weekday_subsample
 from .errors import DataError, EvtriskError
 from .extremal import extremal_index_sliding, theta_ci, theta_sweep
-from .ingest import ReturnSeries, acf, align_pairs, load_prices, load_returns, to_returns
+from .ingest import (ReturnSeries, _header_names, acf, align_pairs, load_prices, load_returns,
+                     to_returns)
 from .simulate import sim_argarch, sim_duplicated, sim_frechet, sim_pareto
 from .taildep import chi_ci, chi_hat, chi_trace, residual_pair
 from .tailest import TAIL_ESTIMATORS, tail_index_trace, weissman_quantile
@@ -44,12 +45,10 @@ def _sha256(path: str) -> str:
 
 def _load_series(path: str) -> ReturnSeries:
     """Load a return series; price files (a close column) are differenced."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-    if len(header) < 2:
+    names = _header_names(path)
+    if len(names) < 2:
         raise DataError(f"{path}: expected a header row with a date and a value "
                         "or price column")
-    names = [h.strip().lower() for h in header]
     if "value" in names:
         return load_returns(path)
     date_col = "date" if "date" in names else names[0]

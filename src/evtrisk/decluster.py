@@ -15,8 +15,6 @@ Both return subsequences of the input in original order.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-
 import numpy as np
 
 from .errors import DataError
@@ -57,24 +55,22 @@ def weekday_subsample(r: ReturnSeries, weekday) -> ReturnSeries:
     return r.take(index)
 
 
-def _greedy_gap_pass(order: np.ndarray, days: np.ndarray, gap_days: int,
-                     removed: np.ndarray) -> None:
+def _greedy_gap_pass(order: np.ndarray, slot: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray, removed: np.ndarray) -> None:
     """Mark days removed by one greedy pass.
 
-    `order` lists candidate positions in priority order, `days` maps each
-    position to its day ordinal; a candidate is removed when within
-    gap_days of any day this pass already kept.
+    `order` lists candidate positions in priority order.  Position i falls
+    on distinct day slot[i], and the distinct days within gap_days of it are
+    slots lo[i]..hi[i]-1; a kept candidate blocks those, and a candidate on
+    a blocked day is removed.
     """
-    kept: list = []
-    for i in order:
-        d = days[i]
-        pos = bisect_left(kept, d)
-        near_left = pos > 0 and d - kept[pos - 1] <= gap_days
-        near_right = pos < len(kept) and kept[pos] - d <= gap_days
-        if near_left or near_right:
+    blocked = bytearray(len(removed))
+    for i, s, a, b in zip(order.tolist(), slot[order].tolist(), lo[order].tolist(),
+                          hi[order].tolist()):
+        if blocked[s]:
             removed[i] = True
         else:
-            insort(kept, d)
+            blocked[a:b] = b"\1" * (b - a)
 
 
 def rank_gap_keep_mask(values, gap_days: int, day_index=None) -> np.ndarray:
@@ -97,17 +93,21 @@ def rank_gap_keep_mask(values, gap_days: int, day_index=None) -> np.ndarray:
         days = np.asarray(day_index, dtype=np.int64)
         if days.shape != v.shape:
             raise ValueError("day_index must have one ordinal per value")
+    # slots index the distinct days, so memory stays O(n) whatever their range
+    distinct, slot = np.unique(days, return_inverse=True)
+    lo = np.searchsorted(distinct, days - gap_days)
+    hi = np.searchsorted(distinct, days + gap_days, side="right")
     removed_pos = np.zeros(len(v), dtype=bool)
     removed_neg = np.zeros(len(v), dtype=bool)
 
     pos_idx = np.flatnonzero(v > 0)
     if pos_idx.size:
         order = pos_idx[np.lexsort((pos_idx, -v[pos_idx]))]
-        _greedy_gap_pass(order, days, gap_days, removed_pos)
+        _greedy_gap_pass(order, slot, lo, hi, removed_pos)
     neg_idx = np.flatnonzero(v < 0)
     if neg_idx.size:
         order = neg_idx[np.lexsort((neg_idx, v[neg_idx]))]
-        _greedy_gap_pass(order, days, gap_days, removed_neg)
+        _greedy_gap_pass(order, slot, lo, hi, removed_neg)
 
     return ~(removed_pos | removed_neg)
 

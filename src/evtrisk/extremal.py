@@ -138,6 +138,12 @@ def theta_ci(fit: ExtremalIndexFit, x, level: float = 0.95,
     drawn as boot_spec says (default BootstrapSpec()) and takes percentile
     endpoints at `level`; boot_spec.level is not used.
     """
+    return _theta_ci(fit, lambda: _dense_ranks(x), level, method, boot_spec)
+
+
+def _theta_ci(fit: ExtremalIndexFit, ranks_of_x, level: float, method: str,
+              boot_spec) -> tuple:
+    """theta_ci with the ranks of x from ranks_of_x(), which only the bootstrap calls."""
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if method == EXP_LIKELIHOOD:
@@ -151,9 +157,9 @@ def theta_ci(fit: ExtremalIndexFit, x, level: float = 0.95,
         from .bootstrap import BootstrapSpec, percentile_ci
 
         spec = replace(boot_spec or BootstrapSpec(), level=level)
-        # rank once, and resample the ranks
+        # resample the ranks, not x
         b = fit.block_size
-        lower, upper, _ = percentile_ci(_dense_ranks(x),
+        lower, upper, _ = percentile_ci(ranks_of_x(),
                                         lambda rs: _fit_on_ranks(rs, b).theta, spec)
         return lower, upper
     raise ValueError(f"unknown CI method {method!r}")
@@ -164,14 +170,16 @@ def theta_sweep(x, b_grid, level: float = 0.95,
     """Extremal index fits with CIs over a grid of block sizes.
 
     Used to pick b where the point estimates stabilize; grid points where
-    the estimator degenerates are skipped.
+    the estimator degenerates are skipped.  x is ranked once for every fit
+    and bootstrap interval.
     """
+    ranks = _dense_ranks(x)
     out = []
     for b in b_grid:
         try:
-            fit = extremal_index_sliding(x, int(b))
+            fit = _fit_on_ranks(ranks, int(b))
         except EstimationError:
             continue
-        lo, hi = theta_ci(fit, x, level=level, method=method, boot_spec=boot_spec)
+        lo, hi = _theta_ci(fit, lambda: ranks, level, method, boot_spec)
         out.append(fit.with_ci(lo, hi, level))
     return out

@@ -13,7 +13,9 @@ estimators (tail index, extremal index, GARCH filtering, ...) consume the
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -144,6 +146,23 @@ class PairedReturns:
         return len(self.dates)
 
 
+def _open_csv(path):
+    """A CSV file opened for reading: UTF-8, a leading byte-order mark dropped,
+    line ends left for csv.reader."""
+    return open(path, newline="", encoding="utf-8-sig")
+
+
+def _names(cells) -> list:
+    """Column names as matched: each cell stripped and lower-cased."""
+    return [cell.strip().lower() for cell in cells]
+
+
+def _header_names(path) -> list:
+    """The header row of a CSV file as matched names; [] for an empty file."""
+    with _open_csv(path) as fh:
+        return _names(next(csv.reader(fh), []))
+
+
 def _read_columns(path, date_col: str, value_col: str):
     """Date and value columns of a CSV file with a header row.
 
@@ -152,36 +171,46 @@ def _read_columns(path, date_col: str, value_col: str):
     skipped and missing cells read as blank; any other row that does not
     parse is a DataError naming its physical line.
     """
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, header row required")
-        names = [cell.strip().lower() for cell in header]
-        wanted = date_col.strip().lower(), value_col.strip().lower()
-        missing = set(wanted) - set(names)
-        if missing:
-            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
-        get = itemgetter(*map(names.index, wanted))
-        try:  # blank lines dropped; the header makes both columns exist
-            dates, values = zip(get(header), *map(get, filter(None, reader)))
-            return (np.array(dates[1:], dtype="datetime64[D]"),
-                    np.array(values[1:], dtype=float))
-        except (IndexError, ValueError):
+        rest = fh.read()
+    if header is None:
+        raise DataError(f"{path}: empty file, header row required")
+    names = _names(header)
+    wanted = _names((date_col, value_col))
+    missing = set(wanted) - set(names)
+    if missing:
+        raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+    cols = [names.index(name) for name in wanted]
+    ncol = len(header)
+
+    # Where the lines after the header hold no quote, csv.reader ends them at
+    # \r\n, \r or \n and splits them at every comma.  When there are data
+    # lines and every non-empty one has ncol cells, one split of the joined
+    # lines holds the cells row by row; this builds no container per row.
+    body = list(filter(None, rest.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
+    if '"' not in rest and set(map(str.count, body, repeat(","))) == {ncol - 1}:
+        cells = ",".join(body).split(",")
+        try:
+            return (np.array(cells[cols[0]::ncol], dtype="datetime64[D]"),
+                    np.array(cells[cols[1]::ncol], dtype=float))
+        except ValueError:
             pass
-        # a short row or a cell NumPy refuses: strip, skip blank rows, name the bad one
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        dates, values = [], []
-        for row in reader:
-            d, v = (cell.strip() for cell in get(row + [""] * len(header)))
-            if d or v:
-                try:
-                    dates.append(np.datetime64(d, "D"))
-                    values.append(float(v))
-                except ValueError:
-                    raise DataError(f"{path}:{reader.line_num}: bad row {row!r}") from None
+    # quotes, ragged rows or a cell NumPy refuses: strip, skip blank rows,
+    # name the bad one by its line in the file
+    rows = csv.reader(io.StringIO(rest, newline=""))
+    get = itemgetter(*cols)
+    dates, values = [], []
+    for row in rows:
+        d, v = (cell.strip() for cell in get(row + [""] * ncol))
+        if d or v:
+            try:
+                dates.append(np.datetime64(d, "D"))
+                values.append(float(v))
+            except ValueError:
+                line = reader.line_num + rows.line_num
+                raise DataError(f"{path}:{line}: bad row {row!r}") from None
     return np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=float)
 
 

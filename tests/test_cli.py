@@ -479,12 +479,13 @@ INPUT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("header", ["Date,Value", " date , value "])
+# and a byte-order mark, as a spreadsheet's "CSV UTF-8" export writes
+@pytest.mark.parametrize("header", ["Date,Value", " date , value ", "\ufeffdate,value"])
 def test_header_case_and_spaces_change_no_report(argarch_csv, tmp_path, header):
     text = argarch_csv.read_text()
     assert text.startswith("date,value")
     odd = tmp_path / "odd.csv"
-    odd.write_text(header + text[len("date,value"):])
+    odd.write_text(header + text[len("date,value"):], encoding="utf-8")
     want, got = ev.load_returns(argarch_csv), ev.load_returns(odd)
     np.testing.assert_array_equal(got.dates, want.dates)
     np.testing.assert_array_equal(got.values, want.values)

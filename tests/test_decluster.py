@@ -99,6 +99,48 @@ def test_zeros_always_survive():
     assert mask[[0, 2, 4]].all()
 
 
+def _bisect_keep_mask(values, gap_days, day_index):
+    """Reference: each pass keeps a sorted list of kept days and bisects it."""
+    from bisect import bisect_left, insort
+
+    v = np.asarray(values, dtype=float)
+    days = np.asarray(day_index, dtype=np.int64)
+    removed = np.zeros(len(v), dtype=bool)
+    for idx, key in ((np.flatnonzero(v > 0), -v), (np.flatnonzero(v < 0), v)):
+        kept = []
+        for i in idx[np.lexsort((idx, key[idx]))]:
+            d = days[i]
+            pos = bisect_left(kept, d)
+            if ((pos > 0 and d - kept[pos - 1] <= gap_days)
+                    or (pos < len(kept) and kept[pos] - d <= gap_days)):
+                removed[i] = True
+            else:
+                insort(kept, d)
+    return ~removed
+
+
+@pytest.mark.parametrize("days_kind", ["repeated", "spread", "shuffled"])
+def test_gap_mask_equals_the_bisect_passes(days_kind):
+    rng = np.random.default_rng(["repeated", "spread", "shuffled"].index(days_kind))
+    for _ in range(100):
+        n = int(rng.integers(1, 80))
+        v = np.round(rng.standard_normal(n) * 2)  # ties and zeros
+        if days_kind == "repeated":  # sorted, many days shared
+            days = np.sort(rng.integers(0, max(n // 2, 1), n))
+        elif days_kind == "spread":  # a range of about 1e12 days
+            days = np.cumsum(rng.integers(0, 2 * 10**10, n)) - 5 * 10**11
+            days[rng.integers(0, n)] += rng.integers(-5, 5)
+        else:
+            days = rng.permutation(np.sort(rng.integers(0, 2 * n, n)))
+        for gap in (1, 3, 10**10):
+            np.testing.assert_array_equal(ev.rank_gap_keep_mask(v, gap, day_index=days),
+                                          _bisect_keep_mask(v, gap, days))
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 15_605, 0)
+    for gap in (1, 9, 50):
+        np.testing.assert_array_equal(ev.rank_gap_keep_mask(x, gap),
+                                      _bisect_keep_mask(x, gap, np.arange(len(x))))
+
+
 def test_gap_must_be_positive():
     with pytest.raises(ValueError):
         ev.rank_gap_keep_mask([1.0, 2.0], 0)

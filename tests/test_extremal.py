@@ -154,11 +154,19 @@ def test_ci_rejects_bad_level_and_method():
 
 def test_sweep_covers_grid_and_attaches_cis():
     x = ev.sim_frechet(1.0, 3000, 6)
-    fits = ev.theta_sweep(x, [20, 40, 80], level=0.95)
-    assert [f.block_size for f in fits] == [20, 40, 80]
-    for f in fits:
-        lo, hi, level = f.ci
-        assert lo < hi and level == 0.95
+    spec = ev.BootstrapSpec(replicates=49, mean_block=100.0, seed=3)
+    for method in ("exp_likelihood", "block_bootstrap"):
+        fits = ev.theta_sweep(x, [20, 40, 80], level=0.95, method=method, boot_spec=spec)
+        assert [f.block_size for f in fits] == [20, 40, 80]
+        for f in fits:
+            lo, hi, level = f.ci
+            # bootstrap endpoints of i.i.d. data may both sit at the clamp, 1
+            assert (lo < hi if method == "exp_likelihood" else lo <= hi <= 1.0)
+            assert level == 0.95
+            # the sweep ranks x once; each fit and interval is the one made alone
+            alone = ev.extremal_index_sliding(x, f.block_size)
+            ci = ev.theta_ci(alone, x, level=0.95, method=method, boot_spec=spec)
+            assert repr(f) == repr(alone.with_ci(*ci, 0.95))
 
 
 @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])

@@ -1,14 +1,20 @@
 """Price/return ingestion, alignment, and autocorrelation."""
 
 import csv
+import gc
 import io
 import warnings
+from datetime import date, timedelta
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import evtrisk as ev
+from evtrisk.cli import main
 from evtrisk.errors import DataError
+from evtrisk.ingest import _read_columns
 
 DATES = np.arange("2020-01-01", "2020-01-11", dtype="datetime64[D]")
 
@@ -253,12 +259,135 @@ def test_acf_is_exact_for_huge_values_and_refuses_non_finite():
 @pytest.mark.parametrize("load, header", [
     (ev.load_prices, " DATE , close "), (ev.load_prices, "date,CLOSE"),
     (ev.load_returns, "Date,Value"), (ev.load_returns, " date , value "),
-    (ev.load_returns, "Date,value")])
+    (ev.load_returns, "Date,value"),
+    # the byte-order mark a spreadsheet's "CSV UTF-8" export starts with
+    (ev.load_prices, "\ufeffDate,Close"), (ev.load_returns, "\ufeffdate,value")])
 def test_loaders_match_column_names_ignoring_case_and_spaces(tmp_path, load, header):
     p = tmp_path / "x.csv"
-    p.write_text(f"{header}\n2020-01-01,1.5\n2020-01-02,2.5\n")
+    p.write_text(f"{header}\n2020-01-01,1.5\n2020-01-02,2.5\n", encoding="utf-8")
     series = load(p)
     values = series.prices if load is ev.load_prices else series.values
     np.testing.assert_array_equal(values, [1.5, 2.5])
     np.testing.assert_array_equal(series.dates, np.array(["2020-01-01", "2020-01-02"],
                                                          dtype="datetime64[D]"))
+
+
+def _reference_read_columns(path, date_col, value_col):
+    """The reader before the column-wise fast path, kept as the oracle: a
+    csv.reader row per line, then the row-by-row pass on any failure."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, header row required")
+        names = [cell.strip().lower() for cell in header]
+        wanted = date_col.strip().lower(), value_col.strip().lower()
+        missing = set(wanted) - set(names)
+        if missing:
+            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+        get = itemgetter(*map(names.index, wanted))
+        try:
+            dates, values = zip(get(header), *map(get, filter(None, reader)))
+            return (np.array(dates[1:], dtype="datetime64[D]"),
+                    np.array(values[1:], dtype=float))
+        except (IndexError, ValueError):
+            pass
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        dates, values = [], []
+        for row in reader:
+            d, v = (cell.strip() for cell in get(row + [""] * len(header)))
+            if d or v:
+                try:
+                    dates.append(np.datetime64(d, "D"))
+                    values.append(float(v))
+                except ValueError:
+                    raise DataError(f"{path}:{reader.line_num}: bad row {row!r}") from None
+    return np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=float)
+
+
+READER_HEADERS = ["date,value", "Date,Close", "value,date", " date , value ",
+                  "Date,Open,High,Low,Close,Adj Close,Volume", "date,value,note",
+                  '"date",value', "date", ""]
+READER_CELLS = st.one_of(
+    st.sampled_from(["", " ", "  ", "x", "nan", "1e400", "-0.0", " 1.5 ", " 2020-01-02 ",
+                     "2020-02-30", "2020-01-02T10", '"1.5"', '"2020-01-02"', '"1,5"',
+                     '"a""b"', 'a"b', "2020-01-02\r\n"]),
+    st.dates(min_value=date(1790, 1, 1), max_value=date(2100, 1, 1)).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+)
+
+
+@st.composite
+def reader_csv(draw):
+    """A date/value or price file of up to 30 rows, then corrupted, with each
+    line ended by LF, CRLF or CR."""
+    header = draw(st.sampled_from(READER_HEADERS))
+    names = [cell.strip(' "').lower() for cell in header.split(",")]
+    start = draw(st.dates(min_value=date(1990, 1, 1), max_value=date(2050, 1, 1)))
+    rows = [[str(start + timedelta(days=i)) if name == "date" else repr(draw(st.floats(1, 9)))
+             for name in names] for i in range(draw(st.integers(0, 30)))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["cell", "drop", "extra", "blank", "repeat"]))
+        at = draw(st.integers(0, len(rows)))
+        if kind == "blank":
+            rows.insert(at, [draw(st.sampled_from(["", " ", "\t"]))])
+        elif rows:
+            row = rows[min(at, len(rows) - 1)]
+            if kind == "extra" or not row:
+                row.append(draw(READER_CELLS))
+            elif kind == "cell":
+                row[draw(st.integers(0, len(row) - 1))] = draw(READER_CELLS)
+            elif kind == "drop":
+                row.pop(draw(st.integers(0, len(row) - 1)))
+            else:
+                rows.insert(at, list(row))
+    lines = [header, *(",".join(r) for r in rows)]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    return text if draw(st.booleans()) else text[:-len(ends[-1])]
+
+
+def _columns_or_error(read, path, date_col, value_col):
+    try:
+        dates, values = read(path, date_col, value_col)
+    except DataError as err:
+        return str(err)
+    return dates.dtype.str, dates.tobytes(), values.dtype.str, values.tobytes()
+
+
+# derandomized so every run of the suite draws the same files; the examples
+# are a header-only file, a short row after a lone CR, and a quoted cell
+# holding a line end and commas
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=reader_csv())
+@example(text="Date,Close\n")
+@example(text="date,value,note\r2020-01-01,1.5,x\ry\r")
+@example(text='date,value,note\r\n2020-01-01,1.5,"x\r\n2020-01-02,2.5,y"\r\n')
+def test_reader_equals_the_row_by_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("reader") / "x.csv"
+    path.write_bytes(text.encode())
+    for columns in (("date", "value"), ("Date", "Close")):
+        assert (_columns_or_error(_read_columns, path, *columns)
+                == _columns_or_error(_reference_read_columns, path, *columns))
+
+
+def test_loading_a_long_file_runs_at_most_one_gc_collection(tmp_path):
+    # a row-by-row reader makes two containers per row, and so dozens of
+    # collections over a 15,605-row file
+    assert main(["sim", "--model", "pareto", "--alpha", "3", "--n", "15605",
+                 "--out", "r.csv", "--out-dir", str(tmp_path)]) == 0
+    starts = []
+
+    def count(phase, info):
+        starts.extend([info["generation"]] * (phase == "start"))
+
+    gc.callbacks.append(count)
+    try:
+        r = ev.load_returns(tmp_path / "r.csv")
+    finally:
+        gc.callbacks.remove(count)
+    assert len(r) == 15605
+    assert len(starts) <= 1, starts
