@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
-from .errors import ConvergenceError, DataError, EstimationError
+from .errors import ConvergenceError, DataError, EstimationError, _finite_floats
 
 __all__ = [
     "ArGarchParams",
@@ -66,6 +66,10 @@ class ArGarchParams:
         if not self.a + self.b_coef < 1:
             raise EstimationError(
                 f"covariance stationarity requires a + b_coef < 1, got {self.a + self.b_coef}")
+        try:
+            _finite_floats(self.as_array(), "AR-GARCH parameters")
+        except DataError as err:
+            raise EstimationError(str(err)) from None
 
     @property
     def persistence(self) -> float:
@@ -165,6 +169,12 @@ def _score_factors(x, theta) -> tuple:
     return innov, sigma2, prev_sq, start_var, w, v
 
 
+def _dot(a, b) -> float:
+    """Sum of a * b by einsum: OpenBLAS splits a long `a @ b` across threads,
+    which makes its last bits depend on the thread count."""
+    return np.einsum("i,i->", a, b)
+
+
 def _summed_score(x, theta) -> tuple:
     """Quasi-loglikelihood at theta and its exact gradient in theta.
 
@@ -180,10 +190,10 @@ def _summed_score(x, theta) -> tuple:
     innov_g = innov[:-1] * g[1:]
     grad = np.array([
         v.sum() - two_a * innov_g.sum(),
-        x[:-1] @ v - two_a * (innov_g @ x[:-2]),
+        _dot(x[:-1], v) - two_a * _dot(innov_g, x[:-2]),
         g.sum(),
-        prev_sq @ g,
-        start_var * g[0] + sigma2[:-1] @ g[1:],
+        _dot(prev_sq, g),
+        start_var * g[0] + _dot(sigma2[:-1], g[1:]),
     ])
     return float(np.sum(_gaussian_terms(innov, sigma2))), grad
 
@@ -209,13 +219,6 @@ def _scores(x, theta) -> np.ndarray:
     return scores
 
 
-def _finite_series(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise DataError("non-finite value in AR-GARCH series")
-    return x
-
-
 def filter_series(x, params: ArGarchParams) -> FilteredSeries:
     """Run the volatility recursion at fixed parameters.
 
@@ -223,7 +226,7 @@ def filter_series(x, params: ArGarchParams) -> FilteredSeries:
     and the Gaussian quasi-loglikelihood evaluated at `params`.  A series
     holding NaN or inf is a DataError.
     """
-    x = _finite_series(x)
+    x = _finite_floats(x, "AR-GARCH series")
     if x.size < 2:
         raise EstimationError("need at least two observations to filter")
     innov, sigma2, _, _ = _recursion(x, params.mu, params.phi, params.omega,
@@ -328,7 +331,7 @@ def fit_qmle(x, compute_se: bool = True,
     -------
     FilteredSeries
     """
-    x = _finite_series(x)
+    x = _finite_floats(x, "AR-GARCH series")
     if x.size < 200:
         raise EstimationError(f"need at least 200 observations to fit, got {x.size}")
     if np.ptp(x) == 0:
@@ -403,7 +406,7 @@ def forecast_next(f: FilteredSeries, x_last: float,
     p = f.params
     sigma_t = float(f.sigma[-1])
     a_t = float(f.resid[-1]) * sigma_t
-    mu_next = p.mu + p.phi * float(x_last)
+    mu_next = p.mu + p.phi * float(_finite_floats(x_last, "last observation"))
     sigma_next = math.sqrt(p.omega + p.a * a_t * a_t + p.b_coef * sigma_t * sigma_t)
     quantile = None if resid_quantile is None else mu_next + sigma_next * float(resid_quantile)
     return Forecast(mu_next=mu_next, sigma_next=sigma_next, quantile=quantile)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import chdtrc, gammaincinv, xlogy
 
 from .argarch import filter_series, fit_qmle, forecast_next
-from .errors import ConvergenceError, EstimationError, NegativeGammaError
+from .errors import ConvergenceError, EstimationError, NegativeGammaError, _finite_floats
 from .ingest import ReturnSeries
 from .tailest import TAIL_ESTIMATORS, empirical_quantile, weissman_quantile
 
@@ -125,8 +125,8 @@ class BacktestReport:
 
 def exceedances(realized, forecasts, p: float) -> ExceedanceSeries:
     """Indicator series of realized losses strictly above their forecasts."""
-    realized = np.asarray(realized, dtype=float)
-    forecasts = np.asarray(forecasts, dtype=float)
+    realized = _finite_floats(realized, "realized losses")
+    forecasts = _finite_floats(forecasts, "quantile forecasts")
     if realized.shape != forecasts.shape:
         raise ValueError(
             f"length mismatch: {realized.shape} realized vs {forecasts.shape} forecasts")
@@ -262,9 +262,7 @@ def method_quantile(x, p: float, method: str) -> float:
 
 
 def _series_values(r) -> np.ndarray:
-    if isinstance(r, ReturnSeries):
-        return r.values
-    return np.asarray(r, dtype=float)
+    return _finite_floats(r.values if isinstance(r, ReturnSeries) else r, "backtest series")
 
 
 @dataclass(frozen=True, eq=False)

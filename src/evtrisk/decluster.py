@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _finite_floats
 from .ingest import ReturnSeries
 
 __all__ = [
@@ -84,9 +84,7 @@ def rank_gap_keep_mask(values, gap_days: int, day_index=None) -> np.ndarray:
     """
     if gap_days < 1:
         raise ValueError(f"gap_days must be >= 1, got {gap_days}")
-    v = np.asarray(values, dtype=float)
-    if not np.isfinite(v).all():
-        raise DataError("non-finite value in declustering sample")
+    v = _finite_floats(values, "declustering sample")
     if day_index is None:
         days = np.arange(len(v), dtype=np.int64)
     else:

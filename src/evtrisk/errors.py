@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one input guard."""
+
+import numpy as np
 
 __all__ = ["EvtriskError", "DataError", "EstimationError", "NegativeGammaError",
            "ConvergenceError"]
@@ -30,3 +32,11 @@ class NegativeGammaError(EstimationError):
 
 class ConvergenceError(EstimationError):
     """An iterative optimizer failed to converge from every starting point."""
+
+
+def _finite_floats(x, what: str) -> np.ndarray:
+    """x as a float array; a NaN or inf in it is a DataError naming `what`."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DataError(f"non-finite value in {what}")
+    return x

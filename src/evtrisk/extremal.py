@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DataError, EstimationError
+from .errors import EstimationError, _finite_floats
 
 __all__ = [
     "ExtremalIndexFit",
@@ -67,9 +67,8 @@ def block_maxima_sliding(x, b: int) -> np.ndarray:
     window of b+1 exactly.  A maximum never rounds, so the result equals
     the direct window maximum bit for bit.
     """
-    x = np.asarray(x, dtype=float)
     _check_block_size(b, len(x))
-    return _window_maxima(x, b + 1)
+    return _window_maxima(_finite_floats(x, "block maxima sample"), b + 1)
 
 
 def _check_block_size(b: int, n: int) -> None:
@@ -99,10 +98,7 @@ def extremal_index_sliding(x, b: int) -> ExtremalIndexFit:
 
 def _dense_ranks(x) -> np.ndarray:
     """Ranks 0, 1, ... of the distinct values of x, ties sharing a rank."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise DataError("non-finite value in extremal index sample")
-    return np.unique(x, return_inverse=True)[1]
+    return np.unique(_finite_floats(x, "extremal index sample"), return_inverse=True)[1]
 
 
 def _fit_on_ranks(ranks: np.ndarray, b: int) -> ExtremalIndexFit:

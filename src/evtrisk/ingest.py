@@ -20,7 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _finite_floats
 
 __all__ = [
     "PairedReturns",
@@ -77,8 +77,8 @@ class PriceSeries:
             raise DataError("dates and prices must have equal length")
         if len(self.prices) < 2:
             raise DataError(f"need at least 2 prices in {self.symbol!r}")
-        if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0):
-            raise DataError(f"non-positive or non-finite price in {self.symbol!r}")
+        if np.any(_finite_floats(self.prices, f"prices {self.symbol!r}") <= 0):
+            raise DataError(f"non-positive price in {self.symbol!r}")
         _check_dates_increasing(self.dates, f"prices {self.symbol!r}")
 
     def __len__(self) -> int:
@@ -104,8 +104,7 @@ class ReturnSeries:
             raise DataError("dates and values must have equal length")
         if len(self.values) == 0:
             raise DataError(f"empty return series {self.symbol!r}")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError(f"non-finite return in {self.symbol!r}")
+        _finite_floats(self.values, f"returns {self.symbol!r}")
         _check_dates_increasing(self.dates, f"returns {self.symbol!r}")
 
     def __len__(self) -> int:
@@ -157,10 +156,19 @@ def _names(cells) -> list:
     return [cell.strip().lower() for cell in cells]
 
 
+def _rows(reader, path, offset: int = 0):
+    """The rows of a csv reader; a csv error (such as a cell past the module's
+    field size limit) is a DataError naming the line, `offset` lines down."""
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise DataError(f"{path}:{offset + reader.line_num}: {err}") from None
+
+
 def _header_names(path) -> list:
     """The header row of a CSV file as matched names; [] for an empty file."""
     with _open_csv(path) as fh:
-        return _names(next(csv.reader(fh), []))
+        return _names(next(_rows(csv.reader(fh), path), []))
 
 
 def _read_columns(path, date_col: str, value_col: str):
@@ -173,7 +181,7 @@ def _read_columns(path, date_col: str, value_col: str):
     """
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(_rows(reader, path), None)
         rest = fh.read()
     if header is None:
         raise DataError(f"{path}: empty file, header row required")
@@ -202,7 +210,7 @@ def _read_columns(path, date_col: str, value_col: str):
     rows = csv.reader(io.StringIO(rest, newline=""))
     get = itemgetter(*cols)
     dates, values = [], []
-    for row in rows:
+    for row in _rows(rows, path, reader.line_num):
         d, v = (cell.strip() for cell in get(row + [""] * ncol))
         if d or v:
             try:
@@ -254,21 +262,20 @@ def acf(x, max_lag: int) -> np.ndarray:
 
     r_h = sum_{t<=n-h} (x_t - xbar)(x_{t+h} - xbar) / sum_t (x_t - xbar)^2
     """
-    x = np.asarray(x, dtype=float)
     n = len(x)
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     if n <= max_lag:
         raise ValueError(f"series length {n} must exceed max_lag {max_lag}")
-    if not np.isfinite(x).all():
-        raise DataError("non-finite value in acf sample")
-    # an exact power-of-two scale keeps centered @ centered finite
+    x = _finite_floats(x, "acf sample")
+    # an exact power-of-two scale keeps the sum of squares finite; einsum, not
+    # BLAS's `@`, keeps the sums independent of the BLAS thread count
     x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
     centered = x - x.mean()
-    denom = float(centered @ centered)
+    denom = float(np.einsum("i,i->", centered, centered))
     if denom == 0.0:
         raise DataError("zero-variance series has no autocorrelation")
     out = np.empty(max_lag)
     for h in range(1, max_lag + 1):
-        out[h - 1] = float(centered[:-h] @ centered[h:]) / denom
+        out[h - 1] = float(np.einsum("i,i->", centered[:-h], centered[h:])) / denom
     return out

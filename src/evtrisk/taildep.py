@@ -25,7 +25,7 @@ from scipy.special import stdtr
 
 from .argarch import fit_qmle
 from .bootstrap import BootstrapSpec, _replicate_ci
-from .errors import DataError
+from .errors import _finite_floats
 from .ingest import PairedReturns
 
 __all__ = ["TailDepFit", "chi_hat", "chi_ci", "chi_trace", "residual_pair",
@@ -52,9 +52,7 @@ def _check_pair(x, y, k: int):
         raise ValueError(f"series must be 1-d of equal length, got {x.shape} and {y.shape}")
     if not 1 <= k < x.size:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={x.size}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise DataError("non-finite value in tail dependence pair")
-    return x, y
+    return _finite_floats(x, "tail dependence pair"), _finite_floats(y, "tail dependence pair")
 
 
 def chi_hat(x, y, k: int) -> TailDepFit:

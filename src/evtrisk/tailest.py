@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, EstimationError, NegativeGammaError
+from .errors import EstimationError, NegativeGammaError, _finite_floats
 
 __all__ = [
     "TailFit",
@@ -70,14 +70,12 @@ class QuantileEstimate:
     tail_fit: TailFit
 
 
-def _top_order_stats(x: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+def _top_order_stats(x, k: int) -> tuple[np.ndarray, float]:
     """Top k order statistics (unsorted) and the (k+1)-th largest value."""
     n = len(x)
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    if not np.isfinite(x).all():
-        raise DataError("non-finite value in tail sample")
-    part = np.partition(x, n - k - 1)
+    part = np.partition(_finite_floats(x, "tail sample"), n - k - 1)
     return part[n - k:], float(part[n - k - 1])
 
 
@@ -88,7 +86,6 @@ def pareto_qq_points(x, k: int) -> np.ndarray:
     v_i = log X_(n-i+1), i = 1..k.  A straight line of slope gamma indicates
     a power-law tail with index alpha = 1/gamma.
     """
-    x = np.asarray(x, dtype=float)
     top, _ = _top_order_stats(x, k)
     top = np.sort(top)[::-1]  # X_(n), X_(n-1), ..., X_(n-k+1)
     if top[-1] <= 0:
@@ -113,7 +110,7 @@ def qq_slope_alpha(points) -> TailFit:
     return TailFit(gamma=float(slope), k_alpha=len(pts), method="qq", n=len(pts))
 
 
-def _log_excesses(x: np.ndarray, k_alpha: int) -> np.ndarray:
+def _log_excesses(x, k_alpha: int) -> np.ndarray:
     top, thresh = _top_order_stats(x, k_alpha)
     if thresh <= 0 or np.min(top) <= 0:
         raise EstimationError(
@@ -123,7 +120,6 @@ def _log_excesses(x: np.ndarray, k_alpha: int) -> np.ndarray:
 
 def hill(x, k_alpha: int) -> TailFit:
     """Hill estimator of the extreme value index from the top k_alpha log-excesses."""
-    x = np.asarray(x, dtype=float)
     m1 = float(np.mean(_log_excesses(x, k_alpha)))
     if m1 == 0.0:
         raise EstimationError("all top order statistics equal; Hill estimate degenerate")
@@ -145,7 +141,6 @@ def hill_corrected(x, k_alpha: int, rho: float = -1.0) -> TailFit:
     """
     if rho >= 0:
         raise ValueError(f"rho must be negative, got {rho}")
-    x = np.asarray(x, dtype=float)
     logs = _log_excesses(x, k_alpha)
     m1 = float(np.mean(logs))
     m2 = float(np.mean(logs ** 2))
@@ -165,7 +160,6 @@ def weissman_quantile(x, p: float, k: int, fit: TailFit) -> QuantileEstimate:
     """Extrapolated quantile F^{-1}(p) = X_(n-k) * (k / (n(1-p)))^(1/alpha)."""
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    x = np.asarray(x, dtype=float)
     _, anchor = _top_order_stats(x, k)
     if anchor <= 0:
         raise EstimationError(f"anchor order statistic X_(n-k) = {anchor} must be positive")
@@ -183,9 +177,7 @@ def empirical_quantile(x, p: float) -> float:
     """Order-statistic quantile X_(ceil(np)) (no interpolation)."""
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise DataError("non-finite value in quantile sample")
+    x = _finite_floats(x, "quantile sample")
     n = len(x)
     # nextafter guards products that land one ulp above an exact integer
     idx = int(math.ceil(np.nextafter(n * p, 0)))

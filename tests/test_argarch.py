@@ -23,6 +23,14 @@ def test_params_validation():
     assert p.persistence == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize("bad", [{"mu": np.nan}, {"phi": np.inf}, {"omega": np.inf}])
+def test_params_refuse_non_finite_values(bad):
+    # an EstimationError, which roll_conditional catches from a failed refit
+    with pytest.raises(EstimationError, match="non-finite"):
+        ev.ArGarchParams(**{"mu": 0.0, "phi": 0.0, "omega": 1.0, "a": 0.1, "b_coef": 0.8,
+                            **bad})
+
+
 def test_degenerate_filter_is_identity():
     # omega=1, a=b=0 fixes sigma at 1 and resid at the raw innovations
     x = np.array([0.3, -0.5, 1.2, 0.0, 2.0])

@@ -3,7 +3,11 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +363,28 @@ def test_acf_of_huge_returns_is_exact_and_quiet(tmp_path, capsys, big):
     report = _read_json(tmp_path / "o" / "acf_report.json")
     assert report["max_abs_acf"] == pytest.approx(2 / 90, rel=1e-12)
     assert report["max_abs_acf_squared"] == pytest.approx(2 / 90, rel=1e-12)
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n = 15,605 OpenBLAS splits a 1-D `a @ b` across threads, so its last
+    # bits depend on the thread count; both runs are on one machine, since
+    # einsum's summation order may differ between CPUs
+    assert _run("sim", "--model", "argarch", "--mu", -0.05, "--phi", 0.066,
+                "--omega", 0.011, "--a", 0.099, "--b", 0.894, "--n", 15605,
+                "--seed", 3, "--out", "sim.csv", "--out-dir", tmp_path) == 0
+    script = ("import sys; from evtrisk.cli import main; args = sys.argv[1:]; "
+              "sys.exit(main(['garch', '--forecast', *args]) or main(['acf', *args]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", script, "--input", str(tmp_path / "sim.csv"),
+                        "--out-dir", str(out)], env=env, check=True, timeout=300)
+        reports.append([(out / name).read_bytes()
+                        for name in ("garch_report.json", "acf_report.json", "acf_trace.csv")])
+    assert reports[0] == reports[1]
 
 
 def test_sim_dup_writes_the_duplicated_series(tmp_path):

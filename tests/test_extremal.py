@@ -32,8 +32,15 @@ def test_block_maxima_equal_a_direct_window_max(n, b):
     all_but_one_neg_inf = np.full(n, -np.inf)
     all_but_one_neg_inf[n // 2] = 1.0
     for x in (raw, ties, signed_inf, -np.abs(ties), all_but_one_neg_inf):
-        assert np.array_equal(ev.block_maxima_sliding(x, b),
-                              sliding_window_view(x, b + 1).max(axis=1))
+        want = sliding_window_view(x, b + 1).max(axis=1)
+        # the doubling kernel is exact on infinities too; the public function
+        # refuses them, as every function that takes a sample does
+        assert np.array_equal(_window_maxima(x, b + 1), want)
+        if np.isfinite(x).all():
+            assert np.array_equal(ev.block_maxima_sliding(x, b), want)
+        else:
+            with pytest.raises(DataError, match="non-finite"):
+                ev.block_maxima_sliding(x, b)
 
 
 def test_window_maxima_of_integer_ranks():

@@ -17,6 +17,8 @@ from evtrisk.errors import DataError
 
 CLEAN = ev.sim_pareto(3.0, 1000, 0)
 CLEAN_FIT = ev.hill(CLEAN, 50)
+PARAMS = ev.ArGarchParams(0.0, 0.0, 1.0, 0.1, 0.8)
+CLEAN_FILTERED = ev.filter_series(CLEAN, PARAMS)
 ESTIMATORS = {
     "hill": lambda x: ev.hill(x, 50),
     "hill_corrected": lambda x: ev.hill_corrected(x, 50),
@@ -27,8 +29,16 @@ ESTIMATORS = {
     "chi_hat": lambda x: ev.chi_hat(x, np.roll(x, 1), 50),
     "chi_hat_second_margin": lambda x: ev.chi_hat(np.roll(x, 1), x, 50),
     "fit_qmle": lambda x: ev.fit_qmle(x, compute_se=False),
-    "filter_series": lambda x: ev.filter_series(x, ev.ArGarchParams(0.0, 0.0, 1.0, 0.1, 0.8)),
+    "filter_series": lambda x: ev.filter_series(x, PARAMS),
     "rank_gap_keep_mask": lambda x: ev.rank_gap_keep_mask(x, 9),
+    "block_maxima_sliding": lambda x: ev.block_maxima_sliding(x, 20),
+    "exceedances_realized": lambda x: ev.exceedances(x, np.zeros_like(x), 0.01),
+    "exceedances_forecasts": lambda x: ev.exceedances(np.zeros_like(x), x, 0.01),
+    "forecast_next": lambda x: ev.forecast_next(CLEAN_FILTERED, x[0]),
+    "acf": lambda x: ev.acf(x, 5),
+    # the bad value is the last day, which no window fits: the roll's own check refuses it
+    "roll_conditional": lambda x: ev.roll_conditional(np.r_[x[1:300], x[0]], window=299,
+                                                      methods=("empirical",)),
 }
 
 
@@ -40,6 +50,24 @@ def test_estimators_refuse_non_finite_input(name, bad):
     x[0] = bad
     with pytest.raises(DataError, match="non-finite"):
         ESTIMATORS[name](x)
+
+
+# a cell past the csv module's default field size limit (131,072 characters)
+LONG_CELL = "x" * 200_000
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"date,value\n2020-01-01,1.0\n2020-01-02,{LONG_CELL}\n", 3),
+    (f"date,value,{LONG_CELL}\n2020-01-01,1.0,0\n", 1),
+], ids=["value-cell", "header-cell"])
+def test_cell_past_the_csv_field_limit_is_a_data_error(tmp_path, capsys, text, line):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"in.csv:{line}: field larger than field limit"):
+        ev.load_returns(path)
+    assert main(["acf", "--input", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}:{line}: field larger")
 
 
 # cells a malformed return or price file is built from
