@@ -36,7 +36,6 @@ from .tailest import TAIL_ESTIMATORS, empirical_quantile, weissman_quantile
 
 __all__ = [
     "ExceedanceSeries",
-    "TransitionCounts",
     "BacktestReport",
     "SlidingBacktestSummary",
     "UncondRollResult",
@@ -86,27 +85,6 @@ class ExceedanceSeries:
     @property
     def n1(self) -> int:
         return int(self.indicators.sum())
-
-
-@dataclass(frozen=True)
-class TransitionCounts:
-    """Counts of consecutive-day transitions i -> j of the indicator series."""
-
-    n00: int
-    n01: int
-    n10: int
-    n11: int
-
-    @classmethod
-    def from_indicators(cls, indicators) -> "TransitionCounts":
-        ind = np.asarray(indicators, dtype=np.int8)
-        if ind.size < 2:
-            raise ValueError("need at least two indicators to count transitions")
-        a, b = ind[:-1], ind[1:]
-        return cls(n00=int(np.sum((a == 0) & (b == 0))),
-                   n01=int(np.sum((a == 0) & (b == 1))),
-                   n10=int(np.sum((a == 1) & (b == 0))),
-                   n11=int(np.sum((a == 1) & (b == 1))))
 
 
 @dataclass(frozen=True)
@@ -174,8 +152,7 @@ def ind_test(e: ExceedanceSeries) -> tuple:
     """First-order independence LR test: (lr_ind, p-value), chi-square df 1."""
     if e.n < 2:
         raise ValueError("need at least two indicators")
-    t = TransitionCounts.from_indicators(e.indicators)
-    lr = float(_lr_ind(t.n00, t.n01, t.n10, t.n11))
+    lr = float(_window_lrs(e, e.n)[2][0])
     return lr, float(chdtrc(1, lr))
 
 
@@ -208,6 +185,24 @@ def _moving_sum(a, length: int) -> np.ndarray:
     return c[length:] - c[:-length]
 
 
+def _window_lrs(e: ExceedanceSeries, length: int) -> tuple:
+    """(n1, lr_uc, lr_ind) over every length-day window of e, stepped one day.
+
+    The transition counts of a window come from three moving sums over its
+    length - 1 consecutive-day pairs: the 1 -> 1 pairs, the pairs that
+    leave a 1 and the pairs that enter a 1.
+    """
+    ind = e.indicators
+    a, b = ind[:-1], ind[1:]
+    pairs = length - 1
+    n11 = _moving_sum(a & b, pairs)
+    n10 = _moving_sum(a, pairs) - n11
+    n01 = _moving_sum(b, pairs) - n11
+    n00 = pairs - n11 - n10 - n01
+    n1 = _moving_sum(ind, length)
+    return n1, _lr_uc(n1, length, e.p), _lr_ind(n00, n01, n10, n11)
+
+
 def sliding_backtest(e: ExceedanceSeries, test_len: int,
                      level: float = 0.05) -> SlidingBacktestSummary:
     """UC/IND/CC tests over every test_len-day window stepped one day at a time.
@@ -215,20 +210,9 @@ def sliding_backtest(e: ExceedanceSeries, test_len: int,
     Returns the fraction of windows on which each test rejects at `level`,
     along with the mean and max exceedance count per window.
     """
-    ind = e.indicators
-    if test_len < 2 or test_len > ind.size:
-        raise ValueError(f"test_len must be in [2, {ind.size}], got {test_len}")
-    n1 = _moving_sum(ind, test_len)
-    lr_uc = _lr_uc(n1, test_len, e.p)
-
-    a, b = ind[:-1], ind[1:]
-    pair_len = test_len - 1
-    n11 = _moving_sum(a & b, pair_len)
-    n10 = _moving_sum(a & (1 - b), pair_len)
-    n01 = _moving_sum((1 - a) & b, pair_len)
-    n00 = _moving_sum((1 - a) & (1 - b), pair_len)
-    lr_ind = _lr_ind(n00, n01, n10, n11)
-
+    if test_len < 2 or test_len > e.n:
+        raise ValueError(f"test_len must be in [2, {e.n}], got {test_len}")
+    n1, lr_uc, lr_ind = _window_lrs(e, test_len)
     # chi-square quantiles: df = 1 and 2, chi2.ppf(q, df) = 2 * gammaincinv(df / 2, q)
     crit1 = 2.0 * gammaincinv(0.5, 1.0 - level)
     crit2 = 2.0 * gammaincinv(1.0, 1.0 - level)

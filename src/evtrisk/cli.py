@@ -33,7 +33,7 @@ from .extremal import extremal_index_sliding, theta_ci, theta_sweep
 from .ingest import (ReturnSeries, _header_names, acf, align_pairs, load_prices, load_returns,
                      to_returns)
 from .simulate import sim_argarch, sim_duplicated, sim_frechet, sim_pareto
-from .taildep import chi_ci, chi_hat, chi_trace, residual_pair
+from .taildep import chi_trace, residual_pair
 from .tailest import TAIL_ESTIMATORS, tail_index_trace, weissman_quantile
 
 SCHEMA_VERSION = 1
@@ -323,11 +323,11 @@ def _cmd_chi(args) -> None:
         rows = [(f.k, f.chi, f.ci[0] if f.ci else "", f.ci[1] if f.ci else "")
                 for f in fits]
         plots["trace"] = (["k", "chi", "lo", "hi"], rows)
-    fit = chi_hat(x, y, args.k)
+    fit = chi_trace(x, y, [args.k], boot_spec=spec)[0]
     report.update({"k": args.k, "chi": fit.chi})
-    if spec is not None:
-        lo, hi, _ = chi_ci(x, y, args.k, spec)
-        report["chi_ci"] = {"lower": lo, "upper": hi, "level": spec.level}
+    if fit.ci:
+        lo, hi, level = fit.ci
+        report["chi_ci"] = {"lower": lo, "upper": hi, "level": level}
     _emit(args, report, plots)
 
 

@@ -95,19 +95,11 @@ def rank_gap_keep_mask(values, gap_days: int, day_index=None) -> np.ndarray:
     distinct, slot = np.unique(days, return_inverse=True)
     lo = np.searchsorted(distinct, days - gap_days)
     hi = np.searchsorted(distinct, days + gap_days, side="right")
-    removed_pos = np.zeros(len(v), dtype=bool)
-    removed_neg = np.zeros(len(v), dtype=bool)
-
-    pos_idx = np.flatnonzero(v > 0)
-    if pos_idx.size:
-        order = pos_idx[np.lexsort((pos_idx, -v[pos_idx]))]
-        _greedy_gap_pass(order, slot, lo, hi, removed_pos)
-    neg_idx = np.flatnonzero(v < 0)
-    if neg_idx.size:
-        order = neg_idx[np.lexsort((neg_idx, v[neg_idx]))]
-        _greedy_gap_pass(order, slot, lo, hi, removed_neg)
-
-    return ~(removed_pos | removed_neg)
+    removed = np.zeros(len(v), dtype=bool)
+    for candidate, key in ((v > 0, -v), (v < 0, v)):
+        idx = np.flatnonzero(candidate)
+        _greedy_gap_pass(idx[np.lexsort((idx, key[idx]))], slot, lo, hi, removed)
+    return ~removed
 
 
 def rank_gap_decluster(r: ReturnSeries, gap_days: int) -> ReturnSeries:

@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
+from .bootstrap import BootstrapSpec, percentile_ci
 from .errors import EstimationError, _finite_floats
 
 __all__ = [
@@ -132,32 +133,28 @@ def theta_ci(fit: ExtremalIndexFit, x, level: float = 0.95,
     the sample size to n_eff = (n - b)/b because windows overlap b-fold.
     block_bootstrap re-estimates theta on stationary-bootstrap resamples
     drawn as boot_spec says (default BootstrapSpec()) and takes percentile
-    endpoints at `level`; boot_spec.level is not used.
+    endpoints at `level`; boot_spec.level is not used.  Either way x is
+    checked, so NaN or inf is a DataError.
     """
-    return _theta_ci(fit, lambda: _dense_ranks(x), level, method, boot_spec)
+    return _with_ci(fit, _dense_ranks(x), level, method, boot_spec).ci[:2]
 
 
-def _theta_ci(fit: ExtremalIndexFit, ranks_of_x, level: float, method: str,
-              boot_spec) -> tuple:
-    """theta_ci with the ranks of x from ranks_of_x(), which only the bootstrap calls."""
+def _with_ci(fit: ExtremalIndexFit, ranks: np.ndarray, level: float, method: str,
+             boot_spec) -> ExtremalIndexFit:
+    """fit with the theta_ci interval attached; the bootstrap resamples the ranks."""
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if method == EXP_LIKELIHOOD:
+        # a fit has b < n (_check_block_size), so n_eff > 0
         n_eff = fit.pseudo_obs_count / fit.block_size
-        if n_eff <= 0:
-            raise EstimationError("no effective samples for the likelihood interval")
         z = ndtri(0.5 + level / 2.0)
         half = z / math.sqrt(n_eff)
-        return fit.theta * math.exp(-half), fit.theta * math.exp(half)
+        return fit.with_ci(fit.theta * math.exp(-half), fit.theta * math.exp(half), level)
     if method == BLOCK_BOOTSTRAP:
-        from .bootstrap import BootstrapSpec, percentile_ci
-
         spec = replace(boot_spec or BootstrapSpec(), level=level)
-        # resample the ranks, not x
         b = fit.block_size
-        lower, upper, _ = percentile_ci(ranks_of_x(),
-                                        lambda rs: _fit_on_ranks(rs, b).theta, spec)
-        return lower, upper
+        lower, upper, _ = percentile_ci(ranks, lambda rs: _fit_on_ranks(rs, b).theta, spec)
+        return fit.with_ci(lower, upper, level)
     raise ValueError(f"unknown CI method {method!r}")
 
 
@@ -176,6 +173,5 @@ def theta_sweep(x, b_grid, level: float = 0.95,
             fit = _fit_on_ranks(ranks, int(b))
         except EstimationError:
             continue
-        lo, hi = _theta_ci(fit, lambda: ranks, level, method, boot_spec)
-        out.append(fit.with_ci(lo, hi, level))
+        out.append(_with_ci(fit, ranks, level, method, boot_spec))
     return out

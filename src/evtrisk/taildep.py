@@ -91,12 +91,12 @@ def chi_ci(x, y, k: int, spec: BootstrapSpec) -> tuple:
 def chi_trace(x, y, k_grid, boot_spec: Optional[BootstrapSpec] = None) -> list:
     """chi_hat over a grid of k, optionally with a bootstrap CI per point."""
     out = []
-    for k in k_grid:
-        fit = chi_hat(x, y, int(k))
-        if boot_spec is not None:
-            lo, hi, _ = chi_ci(x, y, int(k), boot_spec)
-            fit = fit.with_ci(lo, hi, boot_spec.level)
-        out.append(fit)
+    for k in map(int, k_grid):
+        if boot_spec is None:
+            out.append(chi_hat(x, y, k))
+        else:  # chi_ci computes the point estimate as well
+            lo, hi, point = chi_ci(x, y, k, boot_spec)
+            out.append(TailDepFit(point, k, len(x)).with_ci(lo, hi, boot_spec.level))
     return out
 
 

@@ -39,10 +39,10 @@ def test_exceedances_strict_inequality():
         ev.exceedances([1.0, 2.0], [1.0], 0.01)
 
 
-def test_transition_counts_by_hand():
-    t = ev.TransitionCounts.from_indicators([0, 1, 1, 0, 1])
-    assert (t.n00, t.n01, t.n10, t.n11) == (0, 2, 1, 1)
-    assert t.n00 + t.n01 + t.n10 + t.n11 == 4
+def test_ind_test_counts_transitions_by_hand():
+    # pairs 0->1, 1->1, 1->0, 0->1: n00, n01, n10, n11 = 0, 2, 1, 1
+    e = ev.ExceedanceSeries(np.array([0, 1, 1, 0, 1], dtype=np.int8), 0.05)
+    assert ev.ind_test(e)[0] == pytest.approx(_lr_ind_direct(0, 2, 1, 1), rel=1e-12)
 
 
 def test_uc_statistic_closed_form():

@@ -96,6 +96,23 @@ def test_domain_error_exits_1(pareto_csv, tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tail", "--k-alpha", 100, "--k-grid", "50:10:5"], "grid must have step >= 1"),
+    (["tail", "--k-alpha", 100, "--k-grid", "a:b"], "grid must be lo:hi:step"),
+    (["backtest-uncond", "--methods", "hill,foo"], "unknown methods ['foo']"),
+    (["decluster", "--method", "weekday"], "--weekday is required"),
+    (["decluster", "--method", "gap"], "--gap-days is required"),
+], ids=["grid-descending", "grid-not-integers", "unknown-method", "weekday-missing",
+        "gap-days-missing"])
+def test_bad_option_value_exits_1_with_one_error_line(pareto_csv, tmp_path, capsys,
+                                                      argv, message):
+    code = _run(*argv, "--input", pareto_csv, "--out-dir", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_sim_is_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

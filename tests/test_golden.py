@@ -8,10 +8,16 @@ report derives from a QMLE fit.  These are the ``EXACT_RTOL`` and
 ``FIT_RTOL`` of ``perfbench/workloads.py``: a fit is pinned down only to
 the optimizer's tolerance, everything else is fixed arithmetic.
 
+Every CSV a case writes (plot data and series, as its manifest lists them)
+must match ``tests/golden/<case>/<name>``: numeric cells at the case's
+tolerance, every other cell exactly.
+
 The expected files are written by running this module as a script, see
 `write_expected`.
 """
 
+import csv
+import io
 import json
 import os
 from pathlib import Path
@@ -77,12 +83,13 @@ CASES = [
 
 
 def run_cases(workdir: Path) -> dict:
-    """{case: report text} of every case, run in order inside workdir.
+    """{case: (report text, {CSV name: CSV text})} of every case, run in
+    order inside workdir.
 
-    Paths are relative to workdir, so the reports do not depend on it.  The
+    Paths are relative to workdir, so the outputs do not depend on it.  The
     sim cases write their series and reports to workdir itself.
     """
-    reports = {}
+    outputs = {}
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -90,14 +97,17 @@ def run_cases(workdir: Path) -> dict:
             out_dir = Path("." if argv[0] == "sim" else case)
             assert main([*argv, "--out-dir", str(out_dir)]) == 0, case
             prefix = argv[0].replace("-", "_")
-            reports[case] = (out_dir / f"{prefix}_report.json").read_text()
+            manifest = json.loads((out_dir / f"{prefix}_manifest.json").read_text())
+            csvs = {name: (out_dir / name).read_text()
+                    for name in manifest["outputs"] if name.endswith(".csv")}
+            outputs[case] = ((out_dir / f"{prefix}_report.json").read_text(), csvs)
     finally:
         os.chdir(cwd)
-    return reports
+    return outputs
 
 
 @pytest.fixture(scope="module")
-def reports(tmp_path_factory):
+def outputs(tmp_path_factory):
     return run_cases(tmp_path_factory.mktemp("golden"))
 
 
@@ -118,10 +128,28 @@ def _assert_matches(got, want, rtol: float, where: str) -> None:
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
+def _csv_cells(text: str) -> list:
+    """Rows of a CSV, each cell a float where it parses as one, else its text."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    return [[cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+
+
 @pytest.mark.parametrize("case, rtol", [(case, rtol) for case, _, rtol in CASES])
-def test_report_matches_golden(reports, case, rtol):
+def test_report_matches_golden(outputs, case, rtol):
+    report, csvs = outputs[case]
     want = json.loads((GOLDEN / f"{case}.json").read_text())
-    _assert_matches(json.loads(reports[case]), want, rtol, case)
+    _assert_matches(json.loads(report), want, rtol, case)
+    expected = GOLDEN / case
+    want_names = sorted(str(p.relative_to(expected)) for p in expected.rglob("*.csv"))
+    assert sorted(csvs) == want_names, case
+    for name, text in csvs.items():
+        _assert_matches(_csv_cells(text), _csv_cells((expected / name).read_text()),
+                        rtol, f"{case}/{name}")
 
 
 def write_expected() -> None:
@@ -135,8 +163,12 @@ def write_expected() -> None:
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case, text in run_cases(Path(tmp)).items():
-            (GOLDEN / f"{case}.json").write_text(text)
+        for case, (report, csvs) in run_cases(Path(tmp)).items():
+            (GOLDEN / f"{case}.json").write_text(report)
+            for name, text in csvs.items():
+                path = GOLDEN / case / name
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text)
 
 
 if __name__ == "__main__":

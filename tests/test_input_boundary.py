@@ -17,6 +17,7 @@ from evtrisk.errors import DataError
 
 CLEAN = ev.sim_pareto(3.0, 1000, 0)
 CLEAN_FIT = ev.hill(CLEAN, 50)
+CLEAN_THETA = ev.extremal_index_sliding(CLEAN, 20)
 PARAMS = ev.ArGarchParams(0.0, 0.0, 1.0, 0.1, 0.8)
 CLEAN_FILTERED = ev.filter_series(CLEAN, PARAMS)
 ESTIMATORS = {
@@ -26,6 +27,7 @@ ESTIMATORS = {
     "pareto_qq_points": lambda x: ev.pareto_qq_points(x, 50),
     "empirical_quantile": lambda x: ev.empirical_quantile(x, 0.99),
     "extremal_index_sliding": lambda x: ev.extremal_index_sliding(x, 20),
+    "theta_ci_likelihood": lambda x: ev.theta_ci(CLEAN_THETA, x, method="exp_likelihood"),
     "chi_hat": lambda x: ev.chi_hat(x, np.roll(x, 1), 50),
     "chi_hat_second_margin": lambda x: ev.chi_hat(np.roll(x, 1), x, 50),
     "fit_qmle": lambda x: ev.fit_qmle(x, compute_se=False),
