@@ -41,6 +41,8 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _MAX_PERSISTENCE = 1.0 - 1e-6
+# L-BFGS-B box of z: only z[3], the logit of the persistence, is bounded
+_BOUNDS = [(None, None)] * 3 + [(None, float(logit(_MAX_PERSISTENCE))), (None, None)]
 # largest |gradient| entry at which a warm search's ABNORMAL stop is
 # accepted as converged; fit_qmle says why
 _ABNORMAL_GTOL = 5e-5
@@ -85,7 +87,7 @@ class FilteredSeries:
 
     `sigma` and `resid` have length n - 1.  `se` holds QMLE sandwich
     standard errors when computed; `flags` carries fit diagnostics such as
-    "near_igarch" (persistence clamped just below 1).
+    "near_igarch" (the fit ended on the persistence bound 1 - 1e-6).
     """
 
     sigma: np.ndarray
@@ -243,13 +245,11 @@ def _unpack(z) -> tuple:
     Returns theta and its Jacobian d theta / d z, shape (5, 5).
     """
     mu, phi, wt, st, ft = z
-    unclamped = float(expit(st))
-    total = min(unclamped, _MAX_PERSISTENCE)
+    total = float(expit(st))
     frac = float(expit(ft))
     theta = np.array([mu, phi, np.logaddexp(0.0, wt),  # softplus keeps omega > 0
                       total * frac, total * (1.0 - frac)])
-    # past the clamp the persistence no longer moves with st
-    d_total = total * (1.0 - total) if unclamped < _MAX_PERSISTENCE else 0.0
+    d_total = total * (1.0 - total)
     jac = np.zeros((5, 5))
     jac[0, 0] = jac[1, 1] = 1.0
     jac[2, 2] = expit(wt)
@@ -303,7 +303,8 @@ def fit_qmle(x, compute_se: bool = True,
     """Fit AR(1)-GARCH(1,1) by Gaussian QMLE.
 
     Quasi-Newton search (L-BFGS-B) on the exact score over a reparameterized
-    space enforcing omega > 0, a >= 0, b_coef >= 0 and a + b_coef < 1.
+    space enforcing omega > 0, a >= 0 and b_coef >= 0; the persistence
+    a + b_coef is bounded at 1 - 1e-6 by a box bound of the search.
     Without `start` it is multistarted from two fixed data-derived points,
     one of high and one of low persistence (a cold fit).  With `start` it
     runs one search from there (a warm fit), and falls back to the cold
@@ -315,7 +316,7 @@ def fit_qmle(x, compute_se: bool = True,
     eigenvalue in the optimizer coordinates.  On t(5) windows of 2,000 days
     lambda was 1.7 or more, so the gap is at most 4e-9, and searches that
     do converge stopped with gradient entries up to 2.4e-4.
-    A boundary solution with persistence at 1 - 1e-6 is returned with a
+    A fit that ends on the persistence bound is returned with a
     "near_igarch" flag rather than rejected.
 
     Parameters
@@ -343,7 +344,7 @@ def fit_qmle(x, compute_se: bool = True,
     # 1e-15 reaches it from a cold or a warm start
     def search(p0):
         return minimize(_neg_loglik, _pack(p0), args=(x,), method="L-BFGS-B",
-                        jac=True, options={"ftol": 1e-15})
+                        jac=True, bounds=_BOUNDS, options={"ftol": 1e-15})
 
     flags = ()
     converged = []
@@ -360,8 +361,7 @@ def fit_qmle(x, compute_se: bool = True,
         raise ConvergenceError("QMLE search failed to converge from any start")
     best = min(converged, key=lambda r: r.fun)
 
-    # the flag reads the persistence before _unpack clamps it
-    if float(expit(best.x[3])) > _MAX_PERSISTENCE:
+    if best.x[3] >= _BOUNDS[3][1]:
         flags = ("near_igarch",) + flags
     params = ArGarchParams(*(float(v) for v in _unpack(best.x)[0]))
 

@@ -29,7 +29,7 @@ from .backtest import (METHODS, method_quantile, roll_conditional, roll_uncondit
 from .bootstrap import BootstrapSpec, percentile_ci
 from .decluster import rank_gap_decluster, weekday_subsample
 from .errors import DataError, EvtriskError
-from .extremal import extremal_index_sliding, theta_ci, theta_sweep
+from .extremal import theta_sweep
 from .ingest import (ReturnSeries, _header_names, acf, align_pairs, load_prices, load_returns,
                      to_returns)
 from .simulate import sim_argarch, sim_duplicated, sim_frechet, sim_pareto
@@ -179,20 +179,17 @@ def _cmd_theta(args) -> None:
     method = {"lik": "exp_likelihood", "boot": "block_bootstrap"}[args.ci]
     spec = _boot_spec(args, args.level) if args.ci == "boot" else None
 
+    grid = _parse_grid(args.block_grid) if args.block_grid else [args.block_size]
+    fits = theta_sweep(x, grid, level=args.level, method=method, boot_spec=spec)
+    if not fits:
+        where = "every grid block size" if args.block_grid else f"block size {args.block_size}"
+        raise ValueError(f"extremal index degenerate at {where}")
     plots = {}
     if args.block_grid:
-        grid = _parse_grid(args.block_grid)
-        fits = theta_sweep(x, grid, level=args.level, method=method, boot_spec=spec)
-        if not fits:
-            raise ValueError("extremal index degenerate at every grid block size")
         rows = [(f.block_size, f.theta, f.ci[0], f.ci[1]) for f in fits]
         plots["trace"] = (["b", "theta", "lo", "hi"], rows)
-        pick = min(fits, key=lambda f: abs(f.block_size - args.block_size)) \
-            if args.block_size else fits[-1]
-    else:
-        pick = extremal_index_sliding(x, args.block_size)
-        lo, hi = theta_ci(pick, x, level=args.level, method=method, boot_spec=spec)
-        pick = pick.with_ci(lo, hi, args.level)
+    pick = min(fits, key=lambda f: abs(f.block_size - args.block_size)) \
+        if args.block_size else fits[-1]
     report = {"input": args.input, "n": pick.n, "theta": pick.theta,
               "theta_raw": pick.theta_raw, "b": pick.block_size,
               "ci": {"lower": pick.ci[0], "upper": pick.ci[1], "level": args.level}}

@@ -87,7 +87,7 @@ class PriceSeries:
 
 @dataclass(frozen=True, eq=False)
 class ReturnSeries:
-    """Negative log-returns (percent units by default), one value per trading day.
+    """Negative log-returns (in percent from `to_returns`), one value per trading day.
 
     The date attached to return i is the date of the *later* price of the
     pair that produced it.
@@ -239,9 +239,9 @@ def load_returns(path, symbol: str = "") -> ReturnSeries:
     return ReturnSeries(*_read_columns(path, "date", "value"), symbol or str(path))
 
 
-def to_returns(p: PriceSeries, scale: float = 100.0) -> ReturnSeries:
-    """Negative log-returns -scale*log(P_i / P_{i-1}), dated at the later price."""
-    values = -scale * np.diff(np.log(p.prices))
+def to_returns(p: PriceSeries) -> ReturnSeries:
+    """Negative log-returns in percent, -100*log(P_i / P_{i-1}), dated at the later price."""
+    values = -100.0 * np.diff(np.log(p.prices))
     return ReturnSeries(p.dates[1:], values, p.symbol)
 
 

@@ -17,7 +17,7 @@ statistics, so they can be applied to any positively-scaled loss series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -46,7 +46,6 @@ class TailFit:
     method: str
     n: int
     rho: Optional[float] = None
-    ci: Optional[tuple] = None  # (lower, upper, level) for alpha
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -55,9 +54,6 @@ class TailFit:
     @property
     def alpha(self) -> float:
         return 1.0 / self.gamma
-
-    def with_ci(self, lower: float, upper: float, level: float) -> "TailFit":
-        return replace(self, ci=(lower, upper, level))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logit
 
 import evtrisk as ev
 from evtrisk.argarch import (_gaussian_terms, _neg_loglik, _pack, _recursion, _scores,
@@ -272,15 +273,20 @@ def test_fit_finds_the_low_persistence_global_mode(case, frozen):
     assert fit.params.persistence < 0.1
 
 
-@pytest.mark.parametrize("point", ["fit", "off-optimum", "past-clamp"])
+def _point(point, x):
+    """Optimizer vector z at the fit, off the optimum, or on the persistence bound."""
+    if point == "fit":
+        return _pack(ev.fit_qmle(x, compute_se=False).params)
+    z = _pack(ev.ArGarchParams(0.1, -0.2, 0.05, 0.15, 0.7))
+    if point == "at-bound":
+        z[3] = logit(1.0 - 1e-6)
+    return z
+
+
+@pytest.mark.parametrize("point", ["fit", "off-optimum", "at-bound"])
 def test_neg_loglik_gradient_matches_central_differences(point):
     x = ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0)
-    if point == "fit":
-        z = _pack(ev.fit_qmle(x, compute_se=False).params)
-    else:
-        z = _pack(ev.ArGarchParams(0.1, -0.2, 0.05, 0.15, 0.7))
-        if point == "past-clamp":
-            z[3] = 20.0  # expit(20) > 1 - 1e-6
+    z = _point(point, x)
     _, grad = _neg_loglik(z, x)
     want = np.empty(5)
     for i in range(5):
@@ -288,8 +294,6 @@ def test_neg_loglik_gradient_matches_central_differences(point):
         step[i] = 1e-5
         want[i] = (_neg_loglik(z + step, x)[0] - _neg_loglik(z - step, x)[0]) / 2e-5
     np.testing.assert_allclose(grad, want, rtol=1e-6, atol=1e-6)
-    if point == "past-clamp":
-        assert grad[3] == 0.0
 
 
 def _loop_solve(b_coef, rhs, start, trans):
@@ -321,19 +325,14 @@ def test_variance_solve_matches_loop(b_coef, shape, trans):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
-POINTS = ["fit", "off-optimum", "past-clamp"]
+POINTS = ["fit", "off-optimum", "at-bound"]
 
 
 @pytest.mark.parametrize("point, n", [(p, 2000) for p in POINTS] + [(p, 15605) for p in POINTS],
                          ids=POINTS + [f"{p}-n15605" for p in POINTS])
 def test_adjoint_gradient_matches_forward_scores(point, n):
     x = ev.sim_argarch(GARCH_TRUTH, n, 11, innovation="student_t", df=5.0)
-    if point == "fit":
-        z = _pack(ev.fit_qmle(x, compute_se=False).params)
-    else:
-        z = _pack(ev.ArGarchParams(0.1, -0.2, 0.05, 0.15, 0.7))
-        if point == "past-clamp":
-            z[3] = 20.0
+    z = _point(point, x)
     theta, jac = _unpack(z)
     scores = _scores(x, theta)
     want = scores.sum(0) @ jac

@@ -250,17 +250,26 @@ def _spy_on_fits(monkeypatch):
 
 
 def test_roll_conditional_warm_fits_match_cold_fits(monkeypatch):
-    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 530, 31,
-                       innovation="student_t", df=5.0)
-    calls = _spy_on_fits(monkeypatch)
-    res = ev.roll_conditional(x, window=500, step=1, p=0.99, methods=("empirical",))
-    assert len(calls) == 30
-    assert res.cold_days.tolist() == [500]
-    assert calls[0][1] is None and all(start is not None for _, start, _ in calls[1:])
-    for xwin, _, fit in calls:
-        cold = ev.fit_qmle(xwin, compute_se=False)
-        # the gate of test_fit_matches_frozen_reference: no loss beyond 1e-8
-        assert fit.loglik >= cold.loglik - 1e-8
+    truth = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
+    # (series, window, indices of the fits checked).  The second is the golden
+    # backtest_cond roll (tests/golden/sim_argarch_roll/roll.csv) warm from
+    # day 320: the search of day 322 once stopped on the persistence bound
+    # 0.806 below the cold fit.
+    cases = [
+        (ev.sim_argarch(truth, 530, 31, innovation="student_t", df=5.0), 500, range(30)),
+        (ev.sim_argarch(truth, 452, 5, innovation="student_t", df=5.0)[120:323], 200, [2]),
+    ]
+    for x, window, checked in cases:
+        calls = _spy_on_fits(monkeypatch)
+        res = ev.roll_conditional(x, window=window, step=1, p=0.99, methods=("empirical",))
+        assert len(calls) == len(x) - window
+        assert res.cold_days.tolist() == [window]
+        assert calls[0][1] is None and all(start is not None for _, start, _ in calls[1:])
+        for xwin, _, fit in (calls[j] for j in checked):
+            cold = ev.fit_qmle(xwin, compute_se=False)
+            # the gate of test_fit_matches_frozen_reference: no loss beyond 1e-8
+            assert fit.loglik >= cold.loglik - 1e-8
+        monkeypatch.undo()
 
 
 def _fail_search(monkeypatch, k):

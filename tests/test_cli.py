@@ -90,6 +90,16 @@ def test_wrapped_date_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and "outside" in err and "\n" not in err
 
 
+def test_unsorted_return_dates_exit_1(tmp_path, capsys):
+    # price files are sorted on load; a return file must come sorted
+    bad = tmp_path / "unsorted.csv"
+    bad.write_text("date,value\n2020-01-02,0.1\n2020-01-01,0.2\n2020-01-03,0.3\n")
+    code = _run("acf", "--input", bad, "--max-lag", 1, "--out-dir", tmp_path / "o")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: dates not sorted at 2020-01-01 in returns {str(bad)!r}\n")
+
+
 def test_domain_error_exits_1(pareto_csv, tmp_path, capsys):
     code = _run("theta", "--input", pareto_csv, "--out-dir", tmp_path)
     assert code == 1  # neither --block-size nor --block-grid given
@@ -502,12 +512,14 @@ def test_theta_grid_degenerate_everywhere_exits_1(tmp_path, capsys):
     x[::10] = 5.0
     dates = np.busday_offset(np.datetime64("2000-01-03"), np.arange(400), roll="forward")
     ev.ReturnSeries(dates, x).write_csv(tmp_path / "spikes.csv")
-    code = _run("theta", "--input", tmp_path / "spikes.csv", "--block-grid", "20:40:10",
-                "--out-dir", tmp_path / "o")
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: extremal index degenerate at every grid block size\n")
-    assert not (tmp_path / "o").exists()
+    # a grid, and the single block size that takes the same path
+    for flags, where in [(["--block-grid", "20:40:10"], "every grid block size"),
+                         (["--block-size", "20"], "block size 20")]:
+        code = _run("theta", "--input", tmp_path / "spikes.csv", *flags,
+                    "--out-dir", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: extremal index degenerate at {where}\n"
+        assert not (tmp_path / "o").exists()
 
 
 # the arguments of each subcommand that reads --input, sized for the 1,200-day file

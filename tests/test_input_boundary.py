@@ -1,9 +1,12 @@
-"""Input boundary: estimators refuse non-finite data, and the CLI answers
-any malformed file with exit 0, or with exit 1 and a single `error:` line."""
+"""Input boundary: estimators refuse non-finite data, functions refuse
+arguments outside their domain, and the CLI answers any malformed file with
+exit 0, or with exit 1 and a single `error:` line."""
 
 import contextlib
+import functools
 import io
 import tempfile
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import evtrisk as ev
 from evtrisk.cli import main
-from evtrisk.errors import DataError
+from evtrisk.errors import DataError, EstimationError
 
 CLEAN = ev.sim_pareto(3.0, 1000, 0)
 CLEAN_FIT = ev.hill(CLEAN, 50)
@@ -52,6 +55,69 @@ def test_estimators_refuse_non_finite_input(name, bad):
     x[0] = bad
     with pytest.raises(DataError, match="non-finite"):
         ESTIMATORS[name](x)
+
+
+DATES = np.datetime64("2020-01-01") + np.arange(3)
+NON_POSITIVE_TAIL = np.r_[-np.ones(10), 1.0, 2.0]
+FRECHET_2 = functools.partial(ev.sim_frechet, 2.0)
+# calls outside a function's domain: name -> (call, error, message)
+DOMAIN_ERRORS = {
+    "price-series-lengths": (lambda: ev.PriceSeries(DATES, np.ones(2)), DataError,
+                             "equal length"),
+    "return-series-lengths": (lambda: ev.ReturnSeries(DATES, np.ones(2)), DataError,
+                              "equal length"),
+    "acf-max-lag-0": (lambda: ev.acf(CLEAN, 0), ValueError, "max_lag must be >= 1"),
+    "acf-zero-variance": (lambda: ev.acf(np.ones(10), 2), DataError, "zero-variance"),
+    "filter_series-one-obs": (lambda: ev.filter_series(CLEAN[:1], PARAMS),
+                              EstimationError, "at least two observations"),
+    "forecast_next-empty": (lambda: ev.forecast_next(
+        replace(CLEAN_FILTERED, sigma=np.empty(0), resid=np.empty(0)), 0.0),
+        EstimationError, "empty filtered series"),
+    "exceedance-series-p": (lambda: ev.ExceedanceSeries(np.zeros(5), 1.0),
+                            ValueError, r"p must be in \(0, 1\)"),
+    "uc_test-empty": (lambda: ev.uc_test(ev.ExceedanceSeries(np.zeros(0), 0.01)),
+                      ValueError, "at least one indicator"),
+    "ind_test-one": (lambda: ev.ind_test(ev.ExceedanceSeries(np.zeros(1), 0.01)),
+                     ValueError, "at least two indicators"),
+    "resample_indices-n1": (lambda: ev.resample_indices(1, ev.BootstrapSpec(), 0),
+                            ValueError, "need n >= 2"),
+    "rank_gap_keep_mask-day-index": (lambda: ev.rank_gap_keep_mask(CLEAN, 9, np.arange(5)),
+                                     ValueError, "one ordinal per value"),
+    "t_copula_chi-rho": (lambda: ev.t_copula_chi(-1.0, 4.0), ValueError, "rho must be"),
+    "t_copula_chi-df": (lambda: ev.t_copula_chi(0.5, 0.0), ValueError, "df must be positive"),
+    "sim_argarch-n": (lambda: ev.sim_argarch(PARAMS, 0, 0), ValueError, "n must be positive"),
+    "sim_frechet-n": (lambda: ev.sim_frechet(2.0, 0, 0), ValueError, "n must be positive"),
+    "sim_duplicated-n": (lambda: ev.sim_duplicated(FRECHET_2, 2, 0, 0),
+                         ValueError, "n must be positive"),
+    "sim_duplicated-m": (lambda: ev.sim_duplicated(FRECHET_2, 0, 10, 0),
+                         ValueError, "m must be a positive integer"),
+    "qq_slope_alpha-one-point": (lambda: ev.qq_slope_alpha([[1.0, 0.0]]),
+                                 EstimationError, "at least two"),
+    "qq_slope_alpha-constant-u": (lambda: ev.qq_slope_alpha([[1.0, 0.0], [1.0, 1.0]]),
+                                  EstimationError, "constant abscissa"),
+    "qq_slope_alpha-falling": (lambda: ev.qq_slope_alpha([[0.0, 1.0], [1.0, 0.0]]),
+                               EstimationError, "nonpositive quantile-plot slope"),
+    "pareto_qq_points-non-positive": (lambda: ev.pareto_qq_points(NON_POSITIVE_TAIL, 5),
+                                      EstimationError, "positive for the log plot"),
+    "hill_corrected-equal-top": (lambda: ev.hill_corrected(np.ones(10), 3),
+                                 EstimationError, "Hill estimate degenerate"),
+    "weissman_quantile-p": (lambda: ev.weissman_quantile(CLEAN, 1.0, 50, CLEAN_FIT),
+                            ValueError, r"p must be in \(0, 1\)"),
+    "weissman_quantile-anchor": (lambda: ev.weissman_quantile(NON_POSITIVE_TAIL, 0.99, 3,
+                                                              CLEAN_FIT),
+                                 EstimationError, "anchor order statistic"),
+    "tail_index_trace-method": (lambda: ev.tail_index_trace(CLEAN, [50], method="pickands"),
+                                ValueError, "unknown method 'pickands'"),
+    "tail_fit-gamma-0": (lambda: ev.TailFit(gamma=0.0, k_alpha=5, method="hill", n=10),
+                         EstimationError, "extreme value index must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", list(DOMAIN_ERRORS))
+def test_functions_refuse_arguments_outside_their_domain(name):
+    call, error, message = DOMAIN_ERRORS[name]
+    with pytest.raises(error, match=message):
+        call()
 
 
 # a cell past the csv module's default field size limit (131,072 characters)

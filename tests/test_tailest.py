@@ -136,14 +136,6 @@ def test_tail_index_trace_spans_grid():
     assert all(f.k_alpha == k for f, k in zip(trace, range(10, 200, 10)))
 
 
-def test_tail_fit_ci_attachment():
-    fit = ev.hill(SAMPLE, 2)
-    with_ci = fit.with_ci(0.5, 2.0, 0.9)
-    assert with_ci.ci == (0.5, 2.0, 0.9)
-    assert fit.ci is None
-    assert with_ci.gamma == fit.gamma
-
-
 def test_weissman_overflow_is_an_estimation_error():
     # three equal top values over a tiny threshold give gamma near 583
     x = np.array([5e-254, 1.0, 1.0, 1.0])
