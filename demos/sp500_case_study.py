@@ -24,7 +24,7 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def load(name: str, symbol: str) -> ev.ReturnSeries:
-    return ev.to_returns(ev.load_prices(DATA / name, symbol=symbol))
+    return ev.load_returns(DATA / name, symbol=symbol)
 
 
 def tail_summary(label: str, x: np.ndarray, k_hill: int, k_corr: int) -> None:

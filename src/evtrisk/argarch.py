@@ -310,12 +310,15 @@ def fit_qmle(x, compute_se: bool = True,
     runs one search from there (a warm fit), and falls back to the cold
     starts, flagged "warm_start_failed", if that search does not converge.
     A warm search that ends in L-BFGS-B's ABNORMAL stop (its line search
-    found no decrease) counts as converged when no entry of its gradient g
-    exceeds 5e-5 in absolute value.  Its loglik is then within about
-    |g|^2 / (2 lambda) of the optimum, where lambda is the smallest Hessian
-    eigenvalue in the optimizer coordinates.  On t(5) windows of 2,000 days
-    lambda was 1.7 or more, so the gap is at most 4e-9, and searches that
-    do converge stopped with gradient entries up to 2.4e-4.
+    found no decrease) counts as converged when no entry of its projected
+    gradient g exceeds 5e-5 in absolute value.  g is the gradient of the
+    negative loglik in the optimizer coordinates, except that on the
+    persistence bound an entry pointing past the bound counts as 0.  Its
+    loglik is then within about |g|^2 / (2 lambda) of the optimum, where
+    lambda is the smallest Hessian eigenvalue in the optimizer coordinates.
+    On t(5) windows of 2,000 days lambda was 1.7 or more, so the gap is at
+    most 4e-9, and searches that do converge stopped with gradient entries
+    up to 2.4e-4.
     A fit that ends on the persistence bound is returned with a
     "near_igarch" flag rather than rejected.
 
@@ -350,8 +353,12 @@ def fit_qmle(x, compute_se: bool = True,
     converged = []
     if start is not None:
         warm = search(start)
+        # projected on the box: on the persistence bound, a descent past it is blocked
+        g = warm.jac.copy()
+        if warm.x[3] >= _BOUNDS[3][1]:
+            g[3] = max(g[3], 0.0)
         if warm.success or (warm.message.startswith("ABNORMAL")
-                            and np.max(np.abs(warm.jac)) <= _ABNORMAL_GTOL):
+                            and np.max(np.abs(g)) <= _ABNORMAL_GTOL):
             converged = [warm]
         else:
             flags = ("warm_start_failed",)

@@ -257,7 +257,7 @@ class UncondRollResult:
     forecast over the following test_len days (NaN where the data end before
     the span completes).  `daily[method]` stitches each window's forecast
     over its own `step` following days into one daily indicator series
-    starting at index `daily_start` of the input.
+    starting at index `window` of the input.
     """
 
     window: int
@@ -267,7 +267,6 @@ class UncondRollResult:
     forecasts: dict
     counts: dict
     daily: dict
-    daily_start: int
 
     def mean_count(self, method: str, test_len: int) -> float:
         counts = self.counts[method][test_len]
@@ -308,8 +307,7 @@ def roll_unconditional(r, window: int = 2000, step: int = 250, p: float = 0.99,
         fc = np.repeat(forecasts[m], step)
         daily[m] = exceedances(x[window:window + fc.size], fc, p_exc)
     return UncondRollResult(window=window, step=step, p=p, starts=starts,
-                            forecasts=forecasts, counts=counts, daily=daily,
-                            daily_start=window)
+                            forecasts=forecasts, counts=counts, daily=daily)
 
 
 @dataclass(frozen=True, eq=False)

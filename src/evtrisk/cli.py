@@ -28,10 +28,9 @@ from .backtest import (METHODS, method_quantile, roll_conditional, roll_uncondit
                        sliding_backtest)
 from .bootstrap import BootstrapSpec, percentile_ci
 from .decluster import rank_gap_decluster, weekday_subsample
-from .errors import DataError, EvtriskError
+from .errors import EvtriskError
 from .extremal import theta_sweep
-from .ingest import (ReturnSeries, _header_names, acf, align_pairs, load_prices, load_returns,
-                     to_returns)
+from .ingest import ReturnSeries, acf, align_pairs, load_returns
 from .simulate import sim_argarch, sim_duplicated, sim_frechet, sim_pareto
 from .taildep import chi_trace, residual_pair
 from .tailest import TAIL_ESTIMATORS, tail_index_trace, weissman_quantile
@@ -41,22 +40,6 @@ SCHEMA_VERSION = 1
 
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _load_series(path: str) -> ReturnSeries:
-    """Load a return series; price files (a close column) are differenced."""
-    names = _header_names(path)
-    if len(names) < 2:
-        raise DataError(f"{path}: expected a header row with a date and a value "
-                        "or price column")
-    if "value" in names:
-        return load_returns(path)
-    date_col = "date" if "date" in names else names[0]
-    price_col = next((c for c in ("close", "adj close", "adj_close", "price")
-                      if c in names), names[1])
-    prices = load_prices(path, date_col=date_col, price_col=price_col,
-                         symbol=Path(path).stem)
-    return to_returns(prices)
 
 
 def _dump_json(obj: dict, path: Path) -> None:
@@ -141,7 +124,7 @@ def _boot_spec(args, level: float) -> BootstrapSpec:
 # --- subcommand handlers ---------------------------------------------------
 
 def _cmd_tail(args) -> None:
-    r = _load_series(args.input)
+    r = load_returns(args.input)
     x = r.values
     estimate = TAIL_ESTIMATORS[args.method]
 
@@ -174,7 +157,7 @@ def _cmd_tail(args) -> None:
 def _cmd_theta(args) -> None:
     if args.block_size is None and not args.block_grid:
         raise ValueError("one of --block-size or --block-grid is required")
-    r = _load_series(args.input)
+    r = load_returns(args.input)
     x = r.values
     method = {"lik": "exp_likelihood", "boot": "block_bootstrap"}[args.ci]
     spec = _boot_spec(args, args.level) if args.ci == "boot" else None
@@ -197,7 +180,7 @@ def _cmd_theta(args) -> None:
 
 
 def _cmd_decluster(args) -> None:
-    r = _load_series(args.input)
+    r = load_returns(args.input)
     if args.method == "weekday":
         if args.weekday is None:
             raise ValueError("--weekday is required with --method weekday")
@@ -219,7 +202,7 @@ def _cmd_decluster(args) -> None:
 
 
 def _cmd_garch(args) -> None:
-    r = _load_series(args.input)
+    r = load_returns(args.input)
     fitted = fit_qmle(r.values)
     p = fitted.params
     report = {
@@ -263,7 +246,7 @@ def _sliding_tests(exceedances_by_method: dict, test_lens, level: float) -> dict
 def _cmd_backtest_uncond(args) -> None:
     methods = _parse_methods(args.methods)
     test_lens = _parse_test_lens(args.test_len)
-    r = _load_series(args.input)
+    r = load_returns(args.input)
     res = roll_unconditional(r, window=args.window, step=args.step, p=args.p,
                              methods=methods, test_lens=test_lens)
     rows = []
@@ -287,7 +270,7 @@ def _cmd_backtest_uncond(args) -> None:
 def _cmd_backtest_cond(args) -> None:
     methods = _parse_methods(args.methods)
     test_lens = _parse_test_lens(args.test_len)
-    r = _load_series(args.input)
+    r = load_returns(args.input)
     res = roll_conditional(r, window=args.window, step=args.step, p=args.p,
                            methods=methods)
     rows = []
@@ -305,7 +288,7 @@ def _cmd_backtest_cond(args) -> None:
 
 def _cmd_chi(args) -> None:
     path_a, path_b = args.pair
-    pair = align_pairs(_load_series(path_a), _load_series(path_b))
+    pair = align_pairs(load_returns(path_a), load_returns(path_b))
     if args.residuals:
         pair = residual_pair(pair)
     x, y = pair.values_a, pair.values_b
@@ -362,7 +345,7 @@ def _cmd_sim(args) -> None:
 
 
 def _cmd_acf(args) -> None:
-    r = _load_series(args.input)
+    r = load_returns(args.input)
     # an exact power-of-two scale changes no autocorrelation and keeps x ** 2 finite
     x = np.ldexp(r.values, -np.frexp(np.max(np.abs(r.values)))[1])
     lags = np.arange(1, args.max_lag + 1)

@@ -109,6 +109,6 @@ def rank_gap_decluster(r: ReturnSeries, gap_days: int) -> ReturnSeries:
     plain position for a series on consecutive business days), so distances
     survive subsampling and reapplying the procedure is a no-op.
     """
-    days = np.busday_count(r.dates[0], r.dates.astype("datetime64[D]"))
+    days = np.busday_count(r.dates[0], r.dates)
     keep = rank_gap_keep_mask(r.values, gap_days, day_index=days)
     return r.take(np.flatnonzero(keep))

@@ -1,13 +1,15 @@
-"""Price ingestion, negative log-return construction, and serial-dependence diagnostics.
+"""Loading daily price or return files, and serial-dependence diagnostics.
 
 Input data are daily adjusted closing prices P_0, ..., P_n.  Losses are
 represented throughout the package as negative log-returns in percent,
 
     X_i = -100 * log(P_i / P_{i-1}),
 
-so that a large positive X_i is a large daily loss.  All downstream
-estimators (tail index, extremal index, GARCH filtering, ...) consume the
-``values`` array of a :class:`ReturnSeries`.
+so that a large positive X_i is a large daily loss.  `load_returns` reads
+either a price file, which it turns into these returns, or a return file
+written by :meth:`ReturnSeries.write_csv`.  All downstream estimators (tail
+index, extremal index, GARCH filtering, ...) consume the ``values`` array of
+a :class:`ReturnSeries`.
 """
 
 from __future__ import annotations
@@ -24,11 +26,8 @@ from .errors import DataError, _finite_floats
 
 __all__ = [
     "PairedReturns",
-    "PriceSeries",
     "ReturnSeries",
-    "load_prices",
     "load_returns",
-    "to_returns",
     "align_pairs",
     "acf",
 ]
@@ -63,34 +62,11 @@ def _check_dates_increasing(dates: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class PriceSeries:
-    """Daily adjusted closing prices with strictly increasing dates."""
-
-    dates: np.ndarray
-    prices: np.ndarray
-    symbol: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "dates", _as_dates(self.dates))
-        object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))
-        if self.dates.shape != self.prices.shape:
-            raise DataError("dates and prices must have equal length")
-        if len(self.prices) < 2:
-            raise DataError(f"need at least 2 prices in {self.symbol!r}")
-        if np.any(_finite_floats(self.prices, f"prices {self.symbol!r}") <= 0):
-            raise DataError(f"non-positive price in {self.symbol!r}")
-        _check_dates_increasing(self.dates, f"prices {self.symbol!r}")
-
-    def __len__(self) -> int:
-        return len(self.prices)
-
-
-@dataclass(frozen=True, eq=False)
 class ReturnSeries:
-    """Negative log-returns (in percent from `to_returns`), one value per trading day.
+    """Negative log-returns, one value per trading day.
 
-    The date attached to return i is the date of the *later* price of the
-    pair that produced it.
+    Returns that `load_returns` makes from a price file are in percent, each
+    dated at the *later* price of the pair that produced it.
     """
 
     dates: np.ndarray
@@ -113,7 +89,7 @@ class ReturnSeries:
     def weekdays(self) -> np.ndarray:
         """Weekday per observation, 0 = Monday ... 6 = Sunday."""
         # days since 1970-01-01 (a Thursday); +3 shifts so Monday -> 0
-        return (self.dates.astype("datetime64[D]").view("int64") + 3) % 7
+        return (self.dates.view("int64") + 3) % 7
 
     def take(self, index) -> "ReturnSeries":
         """Subseries at the given positions (order preserved)."""
@@ -151,11 +127,6 @@ def _open_csv(path):
     return open(path, newline="", encoding="utf-8-sig")
 
 
-def _names(cells) -> list:
-    """Column names as matched: each cell stripped and lower-cased."""
-    return [cell.strip().lower() for cell in cells]
-
-
 def _rows(reader, path, offset: int = 0):
     """The rows of a csv reader; a csv error (such as a cell past the module's
     field size limit) is a DataError naming the line, `offset` lines down."""
@@ -165,14 +136,27 @@ def _rows(reader, path, offset: int = 0):
         raise DataError(f"{path}:{offset + reader.line_num}: {err}") from None
 
 
-def _header_names(path) -> list:
-    """The header row of a CSV file as matched names; [] for an empty file."""
-    with _open_csv(path) as fh:
-        return _names(next(_rows(csv.reader(fh), path), []))
+# price columns in the order of preference of the column rule
+_PRICE_COLUMNS = ("close", "adj close", "adj_close", "price")
 
 
-def _read_columns(path, date_col: str, value_col: str):
-    """Date and value columns of a CSV file with a header row.
+def _column_rule(path, names: list) -> tuple:
+    """(date column, value column, values are prices) of a header whose cells
+    are stripped and lower-cased: the column rule of `load_returns`."""
+    if "value" in names:
+        if "date" not in names:
+            raise DataError(f"{path}: missing column(s) ['date']")
+        return names.index("date"), names.index("value"), False
+    if len(names) < 2:
+        raise DataError(f"{path}: expected a header row with a date and a value "
+                        "or price column")
+    price = next((name for name in _PRICE_COLUMNS if name in names), names[1])
+    return (names.index("date") if "date" in names else 0), names.index(price), True
+
+
+def _read_columns(path):
+    """Dates, values and whether they are prices, from a CSV file with a
+    header row, in the columns `_column_rule` picks.
 
     Column names match header cells stripped and lower-cased, so `Date`,
     ` date ` and `date` name the same column.  Rows blank in both cells are
@@ -185,12 +169,7 @@ def _read_columns(path, date_col: str, value_col: str):
         rest = fh.read()
     if header is None:
         raise DataError(f"{path}: empty file, header row required")
-    names = _names(header)
-    wanted = _names((date_col, value_col))
-    missing = set(wanted) - set(names)
-    if missing:
-        raise DataError(f"{path}: missing column(s) {sorted(missing)}")
-    cols = [names.index(name) for name in wanted]
+    *cols, prices = _column_rule(path, [cell.strip().lower() for cell in header])
     ncol = len(header)
 
     # Where the lines after the header hold no quote, csv.reader ends them at
@@ -202,7 +181,7 @@ def _read_columns(path, date_col: str, value_col: str):
         cells = ",".join(body).split(",")
         try:
             return (np.array(cells[cols[0]::ncol], dtype="datetime64[D]"),
-                    np.array(cells[cols[1]::ncol], dtype=float))
+                    np.array(cells[cols[1]::ncol], dtype=float), prices)
         except ValueError:
             pass
     # quotes, ragged rows or a cell NumPy refuses: strip, skip blank rows,
@@ -219,30 +198,35 @@ def _read_columns(path, date_col: str, value_col: str):
             except ValueError:
                 line = reader.line_num + rows.line_num
                 raise DataError(f"{path}:{line}: bad row {row!r}") from None
-    return np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=float)
-
-
-def load_prices(path, date_col: str = "Date", price_col: str = "Close",
-                symbol: str = "") -> PriceSeries:
-    """Load a price CSV with a header row and ISO-8601 dates.
-
-    Rows are sorted by date.  Duplicate dates and non-positive prices are
-    hard errors rather than silently repaired.
-    """
-    dates, prices = _read_columns(path, date_col, price_col)
-    order = np.argsort(dates, kind="stable")
-    return PriceSeries(dates[order], prices[order], symbol or str(path))
+    return np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=float), prices
 
 
 def load_returns(path, symbol: str = "") -> ReturnSeries:
-    """Load a return CSV written by :meth:`ReturnSeries.write_csv` (date,value)."""
-    return ReturnSeries(*_read_columns(path, "date", "value"), symbol or str(path))
+    """Load a return or a price CSV with a header row and ISO-8601 dates.
 
-
-def to_returns(p: PriceSeries) -> ReturnSeries:
-    """Negative log-returns in percent, -100*log(P_i / P_{i-1}), dated at the later price."""
-    values = -100.0 * np.diff(np.log(p.prices))
-    return ReturnSeries(p.dates[1:], values, p.symbol)
+    The header decides the kind; its cells match stripped and lower-cased.
+    A header with a `value` column is a return file, as written by
+    :meth:`ReturnSeries.write_csv`: it needs a `date` column too, and its
+    rows must come sorted by date.  Any other header of two or more columns
+    is a price file: dates from the `date` column, else the first column;
+    prices from the first of `close`, `adj close`, `adj_close` and `price`,
+    else the second column.  Price rows are sorted by date and turned into
+    negative log-returns in percent, -100*log(P_i / P_{i-1}), each dated at
+    the later price.  Duplicate dates and non-positive prices are hard
+    errors rather than silently repaired.
+    """
+    symbol = symbol or str(path)
+    dates, values, prices = _read_columns(path)
+    if prices:
+        order = np.argsort(dates, kind="stable")
+        dates, values = dates[order], values[order]
+        if len(values) < 2:
+            raise DataError(f"need at least 2 prices in {symbol!r}")
+        if np.any(_finite_floats(values, f"prices {symbol!r}") <= 0):
+            raise DataError(f"non-positive price in {symbol!r}")
+        _check_dates_increasing(dates, f"prices {symbol!r}")
+        dates, values = dates[1:], -100.0 * np.diff(np.log(values))
+    return ReturnSeries(dates, values, symbol)
 
 
 def align_pairs(a: ReturnSeries, b: ReturnSeries) -> PairedReturns:

@@ -26,7 +26,7 @@ def _load_returns(name: str, symbol: str) -> ev.ReturnSeries:
     path = DATA_DIR / name
     if not path.exists():
         pytest.skip(DATA_SKIP)
-    return ev.to_returns(ev.load_prices(path, symbol=symbol))
+    return ev.load_returns(path, symbol=symbol)
 
 
 @pytest.fixture(scope="session")

@@ -155,7 +155,7 @@ def test_roll_unconditional_window_layout():
         assert np.isnan(c1000[-3:]).all()  # the last spans run off the end
         assert np.isfinite(c1000[:-3]).all()
         assert res.daily[m].n == res.starts.size * 250
-        assert res.daily_start == 1000
+        assert res.window == 1000
 
 
 def test_roll_unconditional_counts_match_manual():
@@ -327,6 +327,22 @@ def test_abnormal_warm_stop_at_the_optimum_is_kept(monkeypatch):
     assert fit.loglik >= cold.loglik - 1e-8
 
 
+def test_abnormal_warm_stop_on_the_persistence_bound_is_kept(monkeypatch):
+    # the t5-seed21 series of test_argarch's FROZEN_FITS: its warm search ends
+    # on the bound with the persistence entry of the gradient at -6.1e-4,
+    # which points past the bound and so counts as 0
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 2000, 21,
+                       innovation="student_t", df=5.0)
+    cold = ev.fit_qmle(x, compute_se=False)
+    searches = _abnormal_first_search(monkeypatch)
+    fit = ev.fit_qmle(x, compute_se=False, start=cold.params)
+    warm = searches[0]
+    assert warm.x[3] >= argarch._BOUNDS[3][1] and warm.jac[3] < -argarch._ABNORMAL_GTOL
+    assert len(searches) == 1
+    assert fit.flags == ("near_igarch",)
+    assert fit.loglik >= cold.loglik - 1e-8
+
+
 def test_abnormal_warm_stop_far_from_the_optimum_falls_back(monkeypatch):
     x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
                        innovation="student_t", df=5.0)
@@ -338,6 +354,26 @@ def test_abnormal_warm_stop_far_from_the_optimum_falls_back(monkeypatch):
     assert len(searches) == 1 + len(argarch._starts(x))
     assert fit.params == cold.params
     assert fit.flags == cold.flags + ("warm_start_failed",)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_fit_raises_when_no_search_converges(monkeypatch, warm):
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
+                       innovation="student_t", df=5.0)
+    start = ev.fit_qmle(x, compute_se=False).params if warm else None
+    real_minimize, searches = argarch.minimize, []
+
+    def wrapped(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        res.success = False
+        searches.append(res)
+        return res
+
+    monkeypatch.setattr(argarch, "minimize", wrapped)
+    with pytest.raises(ev.ConvergenceError,
+                       match="^QMLE search failed to converge from any start$"):
+        ev.fit_qmle(x, compute_se=False, start=start)
+    assert len(searches) == warm + len(argarch._starts(x))
 
 
 def test_roll_conditional_counts_a_warm_fallback_as_cold(monkeypatch):

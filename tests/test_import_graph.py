@@ -6,9 +6,12 @@ in evtrisk needs them.  That check runs in a fresh interpreter, because the
 test session itself imports scipy.stats as an oracle.
 
 The root declares no public name itself: it re-exports the `__all__` of
-each submodule.
+each submodule.  The CLI imports no private name from another module, so
+each rule it applies, such as which columns of an input file are read,
+lives in the one module that owns it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -59,3 +62,13 @@ def test_root_exports_exactly_the_submodules_public_names():
             assert getattr(evtrisk, public) is getattr(module, public)
     assert len(evtrisk.__all__) == len(set(evtrisk.__all__))
     assert set(evtrisk.__all__) == declared
+
+
+def test_cli_imports_no_private_name_from_another_module():
+    tree = ast.parse((SRC / "evtrisk" / "cli.py").read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("evtrisk"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []

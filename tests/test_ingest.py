@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import evtrisk as ev
 from evtrisk.cli import main
 from evtrisk.errors import DataError
-from evtrisk.ingest import _read_columns
+from evtrisk.ingest import _column_rule, _read_columns
 
 DATES = np.arange("2020-01-01", "2020-01-11", dtype="datetime64[D]")
 
@@ -23,42 +23,73 @@ def _write_price_csv(path, rows, header="Date,Close"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
+def load_prices(path):
+    """`load_returns` of a price file; the name marks the price-file cases
+    of the tests that run both file kinds."""
+    return ev.load_returns(path)
+
+
+def _loaded(load, dates, values):
+    """The dates and values `load` gives for a file of these rows: for a
+    price file, the negative log-returns in percent dated at the later price."""
+    if load is load_prices:
+        return dates[1:], -100.0 * np.diff(np.log(values))
+    return dates, np.asarray(values, dtype=float)
+
+
 def test_load_prices_parses_and_sorts(tmp_path):
     p = tmp_path / "px.csv"
     # rows deliberately out of order
     _write_price_csv(p, ["2020-01-03,102.0", "2020-01-01,100.0", "2020-01-02,101.5"])
-    series = ev.load_prices(p, symbol="TST")
+    series = ev.load_returns(p, symbol="TST")
     assert series.symbol == "TST"
-    assert list(series.prices) == [100.0, 101.5, 102.0]
-    assert str(series.dates[0]) == "2020-01-01"
+    # bit-identical to the negative log-returns of the date-sorted prices
+    want = -100.0 * np.diff(np.log([100.0, 101.5, 102.0]))
+    assert series.values.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(series.dates, DATES[1:3])
 
 
 def test_load_prices_rejects_nonpositive_price(tmp_path):
     p = tmp_path / "px.csv"
     _write_price_csv(p, ["2020-01-01,100.0", "2020-01-02,-1.0"])
-    with pytest.raises(DataError):
-        ev.load_prices(p)
+    with pytest.raises(DataError, match="non-positive price"):
+        ev.load_returns(p)
 
 
 def test_load_prices_rejects_duplicate_dates(tmp_path):
     p = tmp_path / "px.csv"
     _write_price_csv(p, ["2020-01-01,100.0", "2020-01-01,101.0"])
-    with pytest.raises(DataError):
-        ev.load_prices(p)
+    with pytest.raises(DataError, match="duplicate date"):
+        ev.load_returns(p)
 
 
 def test_load_prices_rejects_missing_column(tmp_path):
     p = tmp_path / "px.csv"
-    _write_price_csv(p, ["2020-01-01,100.0"], header="Date,Open")
-    with pytest.raises(DataError):
-        ev.load_prices(p)
+    _write_price_csv(p, ["2020-01-01"], header="Date")
+    with pytest.raises(DataError, match="expected a header row with a date and a value"):
+        ev.load_returns(p)
 
 
 def test_load_prices_rejects_blank_date(tmp_path):
     p = tmp_path / "px.csv"
     _write_price_csv(p, ["2020-01-01,100.0", ",101.0", "2020-01-03,102.0"])
     with pytest.raises(DataError, match="missing date"):
-        ev.load_prices(p)
+        ev.load_returns(p)
+
+
+@pytest.mark.parametrize("header, date_col, price_col", [
+    ("Date,Open,High,Low,Close,Adj Close,Volume", 0, 4), ("Date,Adj Close,Volume", 0, 1),
+    ("Volume,adj_close,Date", 2, 1), ("Open,Price,Date", 2, 1), ("when,px,volume", 0, 1)])
+def test_column_rule_picks_the_date_and_price_columns(tmp_path, header, date_col, price_col):
+    cells = np.random.default_rng(4).uniform(10.0, 20.0, (3, header.count(",") + 1))
+    rows = [",".join(str(DATES[i]) if j == date_col else repr(v) for j, v in enumerate(row))
+            for i, row in enumerate(cells.tolist())]
+    p = tmp_path / "px.csv"
+    _write_price_csv(p, rows, header)
+    series = ev.load_returns(p)
+    want = -100.0 * np.diff(np.log(cells[:, price_col]))
+    assert series.values.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(series.dates, DATES[1:3])
 
 
 @pytest.mark.parametrize("row, match", [(",0.5", "missing date"),
@@ -82,7 +113,7 @@ def test_load_returns_short_row_is_a_data_error(tmp_path, text, match):
         ev.load_returns(p)
 
 
-@pytest.mark.parametrize("load, header", [(ev.load_prices, "Date,Close"),
+@pytest.mark.parametrize("load, header", [(load_prices, "Date,Close"),
                                           (ev.load_returns, "date,value")])
 def test_bad_row_error_names_the_physical_line(tmp_path, load, header):
     p = tmp_path / "x.csv"
@@ -91,22 +122,24 @@ def test_bad_row_error_names_the_physical_line(tmp_path, load, header):
         load(p)
 
 
-@pytest.mark.parametrize("load, header", [(ev.load_prices, "Date,Close"),
+@pytest.mark.parametrize("load, header", [(load_prices, "Date,Close"),
                                           (ev.load_returns, "date,value")])
 def test_rows_blank_in_both_cells_are_skipped(tmp_path, load, header):
     p = tmp_path / "x.csv"
     p.write_text(header + "\n2020-01-01,1.5\n,\n\n , \n 2020-01-02 , 2.5 \n")
     series = load(p)
-    np.testing.assert_array_equal(series.dates, DATES[:2])
-    values = series.prices if load is ev.load_prices else series.values
-    np.testing.assert_array_equal(values, [1.5, 2.5])
+    dates, values = _loaded(load, DATES[:2], [1.5, 2.5])
+    np.testing.assert_array_equal(series.dates, dates)
+    np.testing.assert_array_equal(series.values, values)
 
 
 @pytest.mark.parametrize("load, text, match", [
     (ev.load_returns, "", "empty file"),
-    (ev.load_returns, "date,val\n2020-01-01,0.1\n", r"missing column\(s\) \['value'\]"),
+    # a header without a `value` column is a price file
+    (ev.load_returns, "date,val\n2020-01-01,0.1\n", r"need at least 2 prices in '.*x\.csv'"),
+    (ev.load_returns, "day,value\n2020-01-01,0.1\n", r"missing column\(s\) \['date'\]"),
     (ev.load_returns, "date,value\n\n,\n", r"empty return series '.*x\.csv'"),
-    (ev.load_prices, "Date,Close\n2020-01-01,100\n", r"need at least 2 prices in '.*x\.csv'"),
+    (load_prices, "Date,Close\n2020-01-01,100\n", r"need at least 2 prices in '.*x\.csv'"),
 ])
 def test_loaders_refuse_files_without_header_or_rows(tmp_path, load, text, match):
     p = tmp_path / "x.csv"
@@ -115,7 +148,7 @@ def test_loaders_refuse_files_without_header_or_rows(tmp_path, load, text, match
         load(p)
 
 
-@pytest.mark.parametrize("load, header", [(ev.load_prices, "Date,Close"),
+@pytest.mark.parametrize("load, header", [(load_prices, "Date,Close"),
                                           (ev.load_returns, "date,value")])
 def test_loaders_refuse_dates_outside_the_plausible_range(tmp_path, load, header):
     # a 20-digit year wraps NumPy's int64 day count to -11562726299856889-01-17
@@ -136,8 +169,6 @@ def test_series_constructors_reject_missing_dates():
     dates = DATES[:3].copy()
     dates[1] = np.datetime64("NaT")
     with pytest.raises(DataError, match="missing date"):
-        ev.PriceSeries(dates, np.array([100.0, 101.0, 102.0]))
-    with pytest.raises(DataError, match="missing date"):
         ev.ReturnSeries(dates, np.zeros(3))
     with pytest.raises(DataError, match="missing date"):
         ev.ReturnSeries(np.array(["NaT"], dtype="datetime64[D]"), np.zeros(1))
@@ -149,21 +180,24 @@ def test_return_series_rejects_non_finite_values(bad):
         ev.ReturnSeries(DATES[:3], np.array([0.1, bad, -0.2]))
 
 
-def test_to_returns_sign_and_scale():
-    prices = ev.PriceSeries(DATES[:3], np.array([100.0, 110.0, 99.0]), "TST")
-    r = ev.to_returns(prices)
+def test_to_returns_sign_and_scale(tmp_path):
+    p = tmp_path / "px.csv"
+    _write_price_csv(p, ["2020-01-01,100.0", "2020-01-02,110.0", "2020-01-03,99.0"])
+    r = ev.load_returns(p)
     # a price rise is a negative loss in percent units
     assert r.values[0] == pytest.approx(-100.0 * np.log(1.1))
     assert r.values[1] == pytest.approx(-100.0 * np.log(0.9))
-    assert len(r) == len(prices) - 1
+    assert len(r) == 3 - 1
     assert str(r.dates[0]) == "2020-01-02"
 
 
-def test_returns_invert_back_to_prices():
+def test_returns_invert_back_to_prices(tmp_path):
     rng = np.random.default_rng(0)
     prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 300)))
     dates = np.datetime64("2000-01-01") + np.arange(300)
-    r = ev.to_returns(ev.PriceSeries(dates, prices, ""))
+    p = tmp_path / "px.csv"
+    _write_price_csv(p, [f"{d},{v!r}" for d, v in zip(dates, prices.tolist())])
+    r = ev.load_returns(p)
     rebuilt = prices[0] * np.exp(np.cumsum(-r.values / 100.0))
     np.testing.assert_allclose(rebuilt, prices[1:], rtol=1e-12)
 
@@ -257,19 +291,18 @@ def test_acf_is_exact_for_huge_values_and_refuses_non_finite():
 
 
 @pytest.mark.parametrize("load, header", [
-    (ev.load_prices, " DATE , close "), (ev.load_prices, "date,CLOSE"),
+    (load_prices, " DATE , close "), (load_prices, "date,CLOSE"),
     (ev.load_returns, "Date,Value"), (ev.load_returns, " date , value "),
     (ev.load_returns, "Date,value"),
     # the byte-order mark a spreadsheet's "CSV UTF-8" export starts with
-    (ev.load_prices, "\ufeffDate,Close"), (ev.load_returns, "\ufeffdate,value")])
+    (load_prices, "\ufeffDate,Close"), (ev.load_returns, "\ufeffdate,value")])
 def test_loaders_match_column_names_ignoring_case_and_spaces(tmp_path, load, header):
     p = tmp_path / "x.csv"
     p.write_text(f"{header}\n2020-01-01,1.5\n2020-01-02,2.5\n", encoding="utf-8")
     series = load(p)
-    values = series.prices if load is ev.load_prices else series.values
-    np.testing.assert_array_equal(values, [1.5, 2.5])
-    np.testing.assert_array_equal(series.dates, np.array(["2020-01-01", "2020-01-02"],
-                                                         dtype="datetime64[D]"))
+    dates, values = _loaded(load, DATES[:2], [1.5, 2.5])
+    np.testing.assert_array_equal(series.values, values)
+    np.testing.assert_array_equal(series.dates, dates)
 
 
 def _reference_read_columns(path, date_col, value_col):
@@ -350,9 +383,21 @@ def reader_csv(draw):
     return text if draw(st.booleans()) else text[:-len(ends[-1])]
 
 
-def _columns_or_error(read, path, date_col, value_col):
+def _picked_columns(path):
+    """The header cells of the date and value columns `_column_rule` picks,
+    or None where it refuses the header."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh), [])
     try:
-        dates, values = read(path, date_col, value_col)
+        date_at, value_at, _ = _column_rule(path, [cell.strip().lower() for cell in header])
+    except DataError:
+        return None
+    return header[date_at], header[value_at]
+
+
+def _columns_or_error(read, path, *columns):
+    try:
+        dates, values = read(path, *columns)[:2]
     except DataError as err:
         return str(err)
     return dates.dtype.str, dates.tobytes(), values.dtype.str, values.tobytes()
@@ -369,8 +414,14 @@ def _columns_or_error(read, path, date_col, value_col):
 def test_reader_equals_the_row_by_row_reader(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("reader") / "x.csv"
     path.write_bytes(text.encode())
-    for columns in (("date", "value"), ("Date", "Close")):
-        assert (_columns_or_error(_read_columns, path, *columns)
+    columns = _picked_columns(path)
+    if columns is None:
+        with pytest.raises(DataError):
+            _read_columns(path)
+        with pytest.raises(DataError):
+            _reference_read_columns(path, "date", "value")
+    else:
+        assert (_columns_or_error(_read_columns, path)
                 == _columns_or_error(_reference_read_columns, path, *columns))
 
 

@@ -62,8 +62,6 @@ NON_POSITIVE_TAIL = np.r_[-np.ones(10), 1.0, 2.0]
 FRECHET_2 = functools.partial(ev.sim_frechet, 2.0)
 # calls outside a function's domain: name -> (call, error, message)
 DOMAIN_ERRORS = {
-    "price-series-lengths": (lambda: ev.PriceSeries(DATES, np.ones(2)), DataError,
-                             "equal length"),
     "return-series-lengths": (lambda: ev.ReturnSeries(DATES, np.ones(2)), DataError,
                               "equal length"),
     "acf-max-lag-0": (lambda: ev.acf(CLEAN, 0), ValueError, "max_lag must be >= 1"),
