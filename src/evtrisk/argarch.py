@@ -43,8 +43,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _MAX_PERSISTENCE = 1.0 - 1e-6
 # L-BFGS-B box of z: only z[3], the logit of the persistence, is bounded
 _BOUNDS = [(None, None)] * 3 + [(None, float(logit(_MAX_PERSISTENCE))), (None, None)]
-# largest |gradient| entry at which a warm search's ABNORMAL stop is
-# accepted as converged; fit_qmle says why
+# largest |projected gradient| entry at which a search's ABNORMAL stop is
+# accepted as converged; _search says why
 _ABNORMAL_GTOL = 5e-5
 PARAM_NAMES = ("mu", "phi", "omega", "a", "b_coef")
 
@@ -298,28 +298,44 @@ def _neg_loglik(z, x) -> tuple:
     return -ll, -grad
 
 
+def _search(x, p0) -> tuple:
+    """One L-BFGS-B search from p0: its result, and whether it converged.
+
+    A search converged if it reports `success`, or if it ends in the ABNORMAL
+    stop (its line search found no decrease; Byrd, Lu, Nocedal & Zhu 1995) with
+    no entry of its projected gradient g above 5e-5 in absolute value.  g is
+    the gradient of the negative loglik in the optimizer coordinates, except
+    that on the persistence bound an entry pointing past the bound counts as 0.
+    The loglik is then within about |g|^2 / (2 lambda) of the optimum, lambda
+    the smallest Hessian eigenvalue in those coordinates: on t(5) windows of
+    2,000 days lambda was 1.7 or more, so the gap is at most 4e-9, and searches
+    that do converge stopped with |g| entries up to 2.4e-4.
+    """
+    # at the default ftol (2.2e-9 relative, about 5e-6 on a 2,000-observation
+    # loglik) a search can stop 2e-8 short of the optimum, and at 1e-12 a
+    # warm search from a point this close still stops up to 1e-4 short;
+    # 1e-15 reaches it from a cold or a warm start
+    res = minimize(_neg_loglik, _pack(p0), args=(x,), method="L-BFGS-B",
+                   jac=True, bounds=_BOUNDS, options={"ftol": 1e-15})
+    g = res.jac.copy()
+    if res.x[3] >= _BOUNDS[3][1]:  # on the bound a descent past it is blocked
+        g[3] = max(g[3], 0.0)
+    return res, bool(res.success or (res.message.startswith("ABNORMAL")
+                                     and np.max(np.abs(g)) <= _ABNORMAL_GTOL))
+
+
 def fit_qmle(x, compute_se: bool = True,
              start: Optional[ArGarchParams] = None) -> FilteredSeries:
     """Fit AR(1)-GARCH(1,1) by Gaussian QMLE.
 
-    Quasi-Newton search (L-BFGS-B) on the exact score over a reparameterized
-    space enforcing omega > 0, a >= 0 and b_coef >= 0; the persistence
-    a + b_coef is bounded at 1 - 1e-6 by a box bound of the search.
-    Without `start` it is multistarted from two fixed data-derived points,
-    one of high and one of low persistence (a cold fit).  With `start` it
-    runs one search from there (a warm fit), and falls back to the cold
-    starts, flagged "warm_start_failed", if that search does not converge.
-    A warm search that ends in L-BFGS-B's ABNORMAL stop (its line search
-    found no decrease) counts as converged when no entry of its projected
-    gradient g exceeds 5e-5 in absolute value.  g is the gradient of the
-    negative loglik in the optimizer coordinates, except that on the
-    persistence bound an entry pointing past the bound counts as 0.  Its
-    loglik is then within about |g|^2 / (2 lambda) of the optimum, where
-    lambda is the smallest Hessian eigenvalue in the optimizer coordinates.
-    On t(5) windows of 2,000 days lambda was 1.7 or more, so the gap is at
-    most 4e-9, and searches that do converge stopped with gradient entries
-    up to 2.4e-4.
-    A fit that ends on the persistence bound is returned with a
+    Quasi-Newton search (`_search`) on the exact score over a
+    reparameterized space enforcing omega > 0, a >= 0 and b_coef >= 0; the
+    persistence a + b_coef is bounded at 1 - 1e-6 by a box bound of the
+    search.  Without `start` it is multistarted from two fixed data-derived
+    points, one of high and one of low persistence (a cold fit).  With
+    `start` it runs one search from there (a warm fit), and falls back to
+    the cold starts, flagged "warm_start_failed", if that search does not
+    converge.  A fit that ends on the persistence bound is returned with a
     "near_igarch" flag rather than rejected.
 
     Parameters
@@ -341,29 +357,11 @@ def fit_qmle(x, compute_se: bool = True,
     if np.ptp(x) == 0:
         raise EstimationError("constant series: GARCH parameters unidentifiable")
 
-    # at the default ftol (2.2e-9 relative, about 5e-6 on a 2,000-observation
-    # loglik) a search can stop 2e-8 short of the optimum, and at 1e-12 a
-    # warm search from a point this close still stops up to 1e-4 short;
-    # 1e-15 reaches it from a cold or a warm start
-    def search(p0):
-        return minimize(_neg_loglik, _pack(p0), args=(x,), method="L-BFGS-B",
-                        jac=True, bounds=_BOUNDS, options={"ftol": 1e-15})
-
-    flags = ()
-    converged = []
-    if start is not None:
-        warm = search(start)
-        # projected on the box: on the persistence bound, a descent past it is blocked
-        g = warm.jac.copy()
-        if warm.x[3] >= _BOUNDS[3][1]:
-            g[3] = max(g[3], 0.0)
-        if warm.success or (warm.message.startswith("ABNORMAL")
-                            and np.max(np.abs(g)) <= _ABNORMAL_GTOL):
-            converged = [warm]
-        else:
-            flags = ("warm_start_failed",)
-    if not converged:
-        converged = [r for r in map(search, _starts(x)) if r.success]
+    searches = [] if start is None else [_search(x, start)]
+    flags = () if all(ok for _, ok in searches) else ("warm_start_failed",)
+    if flags or not searches:
+        searches = [_search(x, p0) for p0 in _starts(x)]
+    converged = [res for res, ok in searches if ok]
     if not converged:
         raise ConvergenceError("QMLE search failed to converge from any start")
     best = min(converged, key=lambda r: r.fun)

@@ -32,7 +32,7 @@ from scipy.special import chdtrc, gammaincinv, xlogy
 from .argarch import filter_series, fit_qmle, forecast_next
 from .errors import ConvergenceError, EstimationError, NegativeGammaError, _finite_floats
 from .ingest import ReturnSeries
-from .tailest import TAIL_ESTIMATORS, empirical_quantile, weissman_quantile
+from .tailest import TAIL_ESTIMATORS, empirical_quantile, hill, weissman_quantile
 
 __all__ = [
     "ExceedanceSeries",
@@ -232,7 +232,7 @@ def method_quantile(x, p: float, method: str) -> float:
     """Level-p quantile of a sample by one of the three tail methods.
 
     A bias correction that turns nonpositive falls back to the plain Hill
-    fit carried by the error.
+    fit at the same k.
     """
     if method == "empirical":
         return empirical_quantile(x, p)
@@ -240,8 +240,8 @@ def method_quantile(x, p: float, method: str) -> float:
         raise ValueError(f"unknown quantile method {method!r}")
     try:
         fit = TAIL_ESTIMATORS[method](x, _K_ALPHA[method], -1.0)
-    except NegativeGammaError as err:
-        fit = err.fallback
+    except NegativeGammaError:
+        fit = hill(x, _K_ALPHA[method])
     return weissman_quantile(x, p, K_WEISSMAN, fit).value
 
 

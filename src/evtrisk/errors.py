@@ -21,13 +21,9 @@ class EstimationError(EvtriskError):
 class NegativeGammaError(EstimationError):
     """Bias correction drove the extreme value index to a nonpositive value.
 
-    Carries the uncorrected fit so callers can inspect it; we never silently
-    substitute the uncorrected estimate for the corrected one.
+    No estimate is substituted: a caller that wants the plain Hill fit instead
+    computes it itself, as `backtest.method_quantile` does.
     """
-
-    def __init__(self, message, fallback=None):
-        super().__init__(message)
-        self.fallback = fallback
 
 
 class ConvergenceError(EstimationError):

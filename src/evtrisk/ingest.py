@@ -136,7 +136,7 @@ def _rows(reader, path, offset: int = 0):
         raise DataError(f"{path}:{offset + reader.line_num}: {err}") from None
 
 
-# price columns in the order of preference of the column rule
+# price column names in the column rule's order of preference, outside the date column
 _PRICE_COLUMNS = ("close", "adj close", "adj_close", "price")
 
 
@@ -150,8 +150,10 @@ def _column_rule(path, names: list) -> tuple:
     if len(names) < 2:
         raise DataError(f"{path}: expected a header row with a date and a value "
                         "or price column")
-    price = next((name for name in _PRICE_COLUMNS if name in names), names[1])
-    return (names.index("date") if "date" in names else 0), names.index(price), True
+    date = names.index("date") if "date" in names else 0
+    price = next((j for name in _PRICE_COLUMNS for j, cell in enumerate(names)
+                  if cell == name and j != date), 0 if date == 1 else 1)
+    return date, price, True
 
 
 def _read_columns(path):

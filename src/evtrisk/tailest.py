@@ -133,7 +133,7 @@ def hill_corrected(x, k_alpha: int, rho: float = -1.0) -> TailFit:
     which removes the leading second-order bias when the tail approximation
     has convergence-rate parameter rho < 0.  For rho = -1 this simplifies to
     M2/M1 - M1.  A nonpositive corrected value (possible at very small k) is
-    reported as an error carrying the uncorrected fit.
+    a NegativeGammaError, with no fit.
     """
     if rho >= 0:
         raise ValueError(f"rho must be negative, got {rho}")
@@ -145,10 +145,8 @@ def hill_corrected(x, k_alpha: int, rho: float = -1.0) -> TailFit:
     t = m2 / (2.0 * m1)
     gamma = (m1 - (1.0 - rho) * t) / rho
     if gamma <= 0:
-        fallback = TailFit(gamma=m1, k_alpha=k_alpha, method="hill", n=len(x))
         raise NegativeGammaError(
-            f"bias correction gave nonpositive index {gamma:.4g} at k={k_alpha}; "
-            "uncorrected estimate attached", fallback=fallback)
+            f"bias correction gave nonpositive index {gamma:.4g} at k={k_alpha}")
     return TailFit(gamma=gamma, k_alpha=k_alpha, method="corrected", n=len(x), rho=rho)
 
 

@@ -296,6 +296,14 @@ def test_neg_loglik_gradient_matches_central_differences(point):
     np.testing.assert_allclose(grad, want, rtol=1e-6, atol=1e-6)
 
 
+def test_neg_loglik_is_1e300_with_zero_gradient_where_the_loglik_overflows():
+    # mu = 1e300 overflows the squared innovations, so the loglik is not finite
+    x = ev.sim_argarch(GARCH_TRUTH, 300, 11)
+    value, grad = _neg_loglik(np.array([1e300, 0.0, 0.0, 0.0, 0.0]), x)
+    assert value == 1e300
+    assert grad.tolist() == [0.0] * 5
+
+
 def _loop_solve(b_coef, rhs, start, trans):
     """y_t = rhs_t + b_coef * y_{t-1} from y_0 = start, or backward for "T"."""
     y = np.array(rhs, dtype=float)

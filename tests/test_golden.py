@@ -10,7 +10,10 @@ the optimizer's tolerance, everything else is fixed arithmetic.
 
 Every CSV a case writes (plot data and series, as its manifest lists them)
 must match ``tests/golden/<case>/<name>``: numeric cells at the case's
-tolerance, every other cell exactly.
+tolerance, every other cell exactly.  Each case's manifest must match
+``tests/golden/<case>.manifest.json`` in the same way, except that its
+``inputs`` are compared by path only: the input hashes follow the last bits
+of the sim CSVs, which the sim cases already compare at tolerance.
 
 The expected files are written by running this module as a script, see
 `write_expected`.
@@ -83,8 +86,8 @@ CASES = [
 
 
 def run_cases(workdir: Path) -> dict:
-    """{case: (report text, {CSV name: CSV text})} of every case, run in
-    order inside workdir.
+    """{case: (report text, manifest text, {CSV name: CSV text})} of every
+    case, run in order inside workdir.
 
     Paths are relative to workdir, so the outputs do not depend on it.  The
     sim cases write their series and reports to workdir itself.
@@ -97,10 +100,10 @@ def run_cases(workdir: Path) -> dict:
             out_dir = Path("." if argv[0] == "sim" else case)
             assert main([*argv, "--out-dir", str(out_dir)]) == 0, case
             prefix = argv[0].replace("-", "_")
-            manifest = json.loads((out_dir / f"{prefix}_manifest.json").read_text())
+            manifest = (out_dir / f"{prefix}_manifest.json").read_text()
             csvs = {name: (out_dir / name).read_text()
-                    for name in manifest["outputs"] if name.endswith(".csv")}
-            outputs[case] = ((out_dir / f"{prefix}_report.json").read_text(), csvs)
+                    for name in json.loads(manifest)["outputs"] if name.endswith(".csv")}
+            outputs[case] = ((out_dir / f"{prefix}_report.json").read_text(), manifest, csvs)
     finally:
         os.chdir(cwd)
     return outputs
@@ -139,11 +142,21 @@ def _csv_cells(text: str) -> list:
     return [[cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
 
 
+def _manifest_fields(text: str) -> dict:
+    """A manifest with its input hashes dropped: `inputs` becomes its sorted paths."""
+    manifest = json.loads(text)
+    manifest["inputs"] = sorted(manifest["inputs"])
+    return manifest
+
+
 @pytest.mark.parametrize("case, rtol", [(case, rtol) for case, _, rtol in CASES])
 def test_report_matches_golden(outputs, case, rtol):
-    report, csvs = outputs[case]
+    report, manifest, csvs = outputs[case]
     want = json.loads((GOLDEN / f"{case}.json").read_text())
     _assert_matches(json.loads(report), want, rtol, case)
+    _assert_matches(_manifest_fields(manifest),
+                    _manifest_fields((GOLDEN / f"{case}.manifest.json").read_text()),
+                    rtol, f"{case} manifest")
     expected = GOLDEN / case
     want_names = sorted(str(p.relative_to(expected)) for p in expected.rglob("*.csv"))
     assert sorted(csvs) == want_names, case
@@ -173,8 +186,9 @@ def write_expected() -> None:
 
     rtols = {case: rtol for case, _, rtol in CASES}
     with tempfile.TemporaryDirectory() as tmp:
-        for case, (report, csvs) in run_cases(Path(tmp)).items():
-            files = {GOLDEN / f"{case}.json": (report, json.loads)}
+        for case, (report, manifest, csvs) in run_cases(Path(tmp)).items():
+            files = {GOLDEN / f"{case}.json": (report, json.loads),
+                     GOLDEN / f"{case}.manifest.json": (manifest, _manifest_fields)}
             files.update({GOLDEN / case / name: (text, _csv_cells)
                           for name, text in csvs.items()})
             for path, (text, parse) in files.items():

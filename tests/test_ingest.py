@@ -79,7 +79,8 @@ def test_load_prices_rejects_blank_date(tmp_path):
 
 @pytest.mark.parametrize("header, date_col, price_col", [
     ("Date,Open,High,Low,Close,Adj Close,Volume", 0, 4), ("Date,Adj Close,Volume", 0, 1),
-    ("Volume,adj_close,Date", 2, 1), ("Open,Price,Date", 2, 1), ("when,px,volume", 0, 1)])
+    ("Volume,adj_close,Date", 2, 1), ("Open,Price,Date", 2, 1), ("when,px,volume", 0, 1),
+    ("close,close", 0, 1), ("open,date", 1, 0)])
 def test_column_rule_picks_the_date_and_price_columns(tmp_path, header, date_col, price_col):
     cells = np.random.default_rng(4).uniform(10.0, 20.0, (3, header.count(",") + 1))
     rows = [",".join(str(DATES[i]) if j == date_col else repr(v) for j, v in enumerate(row))
