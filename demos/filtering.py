@@ -4,7 +4,9 @@
 Fits the filter to a simulated series with known parameters, compares the
 estimates (with sandwich standard errors) to the truth, checks that the
 standardized residuals are serially uncorrelated in level and square, and
-produces a one-step-ahead conditional quantile forecast.
+produces a one-step-ahead conditional quantile forecast: mu_next +
+sigma_next * q, with q the 0.99 quantile of the standardized residuals
+(`Forecast.quantile`).
 """
 
 import numpy as np
@@ -42,10 +44,10 @@ def main() -> None:
     print(f"  max |acf(resid^2)|  = {acf_r2.max():.4f}")
 
     q99 = ev.empirical_quantile(fit.resid, 0.99)
-    fc = ev.forecast_next(fit, x[-1], resid_quantile=q99)
+    fc = ev.forecast_next(fit, x[-1])
     print("\nOne-step-ahead forecast:")
     print(f"  mu_next = {fc.mu_next:.4f}, sigma_next = {fc.sigma_next:.4f}")
-    print(f"  conditional 0.99 quantile = {fc.quantile:.4f}")
+    print(f"  conditional 0.99 quantile = {fc.quantile(q99):.4f}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
-from .errors import ConvergenceError, DataError, EstimationError, _finite_floats
+from .errors import ConvergenceError, EstimationError, _finite_floats
 
 __all__ = [
     "ArGarchParams",
@@ -68,10 +68,8 @@ class ArGarchParams:
         if not self.a + self.b_coef < 1:
             raise EstimationError(
                 f"covariance stationarity requires a + b_coef < 1, got {self.a + self.b_coef}")
-        try:
-            _finite_floats(self.as_array(), "AR-GARCH parameters")
-        except DataError as err:
-            raise EstimationError(str(err)) from None
+        if not np.isfinite(self.as_array()).all():
+            raise EstimationError("non-finite value in AR-GARCH parameters")
 
     @property
     def persistence(self) -> float:
@@ -100,11 +98,14 @@ class FilteredSeries:
 
 @dataclass(frozen=True)
 class Forecast:
-    """One-step-ahead conditional mean/volatility and optional quantile."""
+    """One-step-ahead conditional mean and volatility."""
 
     mu_next: float
     sigma_next: float
-    quantile: Optional[float] = None
+
+    def quantile(self, q) -> float:
+        """Day-ahead quantile mu_next + sigma_next * q, q a residual quantile."""
+        return self.mu_next + self.sigma_next * float(q)
 
 
 def _variance_solve(b_coef, rhs, trans="N"):
@@ -127,12 +128,22 @@ def _variance_solve(b_coef, rhs, trans="N"):
 
 
 def _recursion(x, mu, phi, omega, a, b_coef):
-    """Innovations a_t and conditional variances sigma_t^2 for t = 2..n.
+    """Innovations a_t, conditional variances sigma_t^2 and score factors, t = 2..n.
 
     sigma2_t = u_t + b_coef * sigma2_{t-1}, with u_t = omega + a * a_{t-1}^2,
     is linear in sigma2: one banded solve, with the start term
-    b_coef * sigma_1^2 folded into the first u_t.  Also returns the lagged
-    squares a_{t-1}^2 and the start sigma_1^2, which the scores reuse.
+    b_coef * sigma_1^2 folded into the first u_t.
+
+    The score of observation t is w_t d sigma2_t - v_t d innov_t, with
+    w_t = (innov_t^2 / sigma2_t - 1) / (2 sigma2_t), v_t = innov_t / sigma2_t
+    and d the derivative in theta = (mu, phi, omega, a, b_coef).
+    d innov_t = (-1, -x_{t-1}, 0, 0, 0), and the variance derivatives follow
+    the variance recursion itself, d sigma2_t = drive_t + b_coef * d sigma2_{t-1}
+    with drive_t = (-2a innov_{t-1}, -2a innov_{t-1} x_{t-2}, 1, innov_{t-1}^2,
+    sigma2_{t-1}) (Fiorentini, Calzolari & Panattoni 1996); the start values
+    a_1 and sigma_1^2 do not depend on theta, so the first drive_t is
+    (0, 0, 1, a_1^2, sigma_1^2).  Returns innov, sigma2, prev_sq (a_{t-1}^2),
+    start_var (sigma_1^2), w and v.
     """
     innov = x[1:] - mu - phi * x[:-1]
     prev_sq = np.empty_like(innov)
@@ -141,34 +152,15 @@ def _recursion(x, mu, phi, omega, a, b_coef):
     u = omega + a * prev_sq
     start_var = float(np.var(x))
     u[0] += b_coef * start_var
-    return innov, _variance_solve(b_coef, u), prev_sq, start_var
+    sigma2 = _variance_solve(b_coef, u)
+    v = innov / sigma2
+    w = 0.5 * (innov * v - 1.0) / sigma2
+    return innov, sigma2, prev_sq, start_var, w, v
 
 
 def _gaussian_terms(innov, sigma2) -> np.ndarray:
     """Gaussian loglikelihood term of each innovation given its variance."""
     return -0.5 * (_LOG_2PI + np.log(sigma2) + innov * innov / sigma2)
-
-
-def _score_factors(x, theta) -> tuple:
-    """The recursion at theta and the per-observation factors of its scores.
-
-    theta is (mu, phi, omega, a, b_coef) in the original coordinates.  The
-    score of observation t is w_t d sigma2_t - v_t d innov_t, with
-    w_t = (innov_t^2 / sigma2_t - 1) / (2 sigma2_t), v_t = innov_t / sigma2_t
-    and d the derivative in theta.  d innov_t = (-1, -x_{t-1}, 0, 0, 0), and
-    the variance derivatives follow the variance recursion itself,
-    d sigma2_t = drive_t + b_coef * d sigma2_{t-1} with
-    drive_t = (-2a innov_{t-1}, -2a innov_{t-1} x_{t-2}, 1, innov_{t-1}^2,
-    sigma2_{t-1}) (Fiorentini, Calzolari & Panattoni 1996); the start values
-    a_1 and sigma_1^2 do not depend on theta, so the first drive_t is
-    (0, 0, 1, a_1^2, sigma_1^2).  Returns innov, sigma2, prev_sq (a_{t-1}^2),
-    start_var (sigma_1^2), w and v: `_summed_score` sums the scores from
-    them, `_scores` builds the rows.
-    """
-    innov, sigma2, prev_sq, start_var = _recursion(x, *theta)
-    v = innov / sigma2
-    w = 0.5 * (innov * v - 1.0) / sigma2
-    return innov, sigma2, prev_sq, start_var, w, v
 
 
 def _dot(a, b) -> float:
@@ -183,10 +175,10 @@ def _summed_score(x, theta) -> tuple:
     The gradient is the summed score by the adjoint method.  With L the
     banded matrix of the variance recursion, d sigma2 = L^-1 drive, so
     sum_t w_t d sigma2_t = (L^-T w) . drive: one backward 1-D solve of w,
-    then five dot products against the factors of `_score_factors`.  No
+    then five dot products against the factors of `_recursion`.  No
     drive or d innov rows are built.
     """
-    innov, sigma2, prev_sq, start_var, w, v = _score_factors(x, theta)
+    innov, sigma2, prev_sq, start_var, w, v = _recursion(x, *theta)
     g = _variance_solve(theta[4], w, "T")
     two_a = 2.0 * theta[3]
     innov_g = innov[:-1] * g[1:]
@@ -203,10 +195,10 @@ def _summed_score(x, theta) -> tuple:
 def _scores(x, theta) -> np.ndarray:
     """Exact per-observation scores d l_t / d theta, shape (n - 1, 5).
 
-    One forward solve of the five drive rows of `_score_factors`; only the
+    One forward solve of the five drive rows of `_recursion`; only the
     outer product S of the sandwich needs the rows themselves.
     """
-    innov, sigma2, prev_sq, start_var, w, v = _score_factors(x, theta)
+    innov, sigma2, prev_sq, start_var, w, v = _recursion(x, *theta)
     drive = np.empty((5, innov.size))
     drive[:2, 0] = 0.0
     drive[0, 1:] = -2.0 * theta[3] * innov[:-1]
@@ -231,8 +223,8 @@ def filter_series(x, params: ArGarchParams) -> FilteredSeries:
     x = _finite_floats(x, "AR-GARCH series")
     if x.size < 2:
         raise EstimationError("need at least two observations to filter")
-    innov, sigma2, _, _ = _recursion(x, params.mu, params.phi, params.omega,
-                                     params.a, params.b_coef)
+    innov, sigma2 = _recursion(x, params.mu, params.phi, params.omega,
+                               params.a, params.b_coef)[:2]
     sigma = np.sqrt(sigma2)
     resid = innov / sigma
     ll = float(np.sum(_gaussian_terms(innov, sigma2)))
@@ -397,14 +389,12 @@ def _sandwich_se(x, params: ArGarchParams) -> dict:
     return dict(zip(PARAM_NAMES, (float(s) for s in se)))
 
 
-def forecast_next(f: FilteredSeries, x_last: float,
-                  resid_quantile: Optional[float] = None) -> Forecast:
+def forecast_next(f: FilteredSeries, x_last: float) -> Forecast:
     """One-step-ahead forecast from the last filtered state.
 
     mu_next = mu + phi * x_last; sigma_next^2 = omega + a * a_T^2 +
     b_coef * sigma_T^2 with (a_T, sigma_T) from the final filtered step.
-    When `resid_quantile` is given, the conditional quantile
-    mu_next + sigma_next * resid_quantile is attached.
+    `Forecast.quantile` turns it into the day-ahead conditional quantile.
     """
     if f.sigma.size == 0:
         raise EstimationError("cannot forecast from an empty filtered series")
@@ -413,5 +403,4 @@ def forecast_next(f: FilteredSeries, x_last: float,
     a_t = float(f.resid[-1]) * sigma_t
     mu_next = p.mu + p.phi * float(_finite_floats(x_last, "last observation"))
     sigma_next = math.sqrt(p.omega + p.a * a_t * a_t + p.b_coef * sigma_t * sigma_t)
-    quantile = None if resid_quantile is None else mu_next + sigma_next * float(resid_quantile)
-    return Forecast(mu_next=mu_next, sigma_next=sigma_next, quantile=quantile)
+    return Forecast(mu_next=mu_next, sigma_next=sigma_next)

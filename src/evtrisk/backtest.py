@@ -15,7 +15,7 @@ Two harnesses produce the indicator series:
   following test spans;
 * roll_conditional refits AR(1)-GARCH(1,1) daily on a trailing window,
   estimates the residual quantile, and forecasts the next day's conditional
-  quantile mu_next + sigma_next * q_resid.
+  quantile mu_next + sigma_next * q_resid (`Forecast.quantile`).
 
 Quantile methods on a window (or residual) sample: "hill" (Hill fit at
 k_alpha = 50 + tail extrapolation with k = 50), "corrected" (bias-corrected
@@ -208,10 +208,13 @@ def sliding_backtest(e: ExceedanceSeries, test_len: int,
     """UC/IND/CC tests over every test_len-day window stepped one day at a time.
 
     Returns the fraction of windows on which each test rejects at `level`,
-    along with the mean and max exceedance count per window.
+    along with the mean and max exceedance count per window.  A `level`
+    outside (0, 1) is a ValueError.
     """
     if test_len < 2 or test_len > e.n:
         raise ValueError(f"test_len must be in [2, {e.n}], got {test_len}")
+    if not 0 < level < 1:
+        raise ValueError(f"level must be in (0, 1), got {level}")
     n1, lr_uc, lr_ind = _window_lrs(e, test_len)
     # chi-square quantiles: df = 1 and 2, chi2.ppf(q, df) = 2 * gammaincinv(df / 2, q)
     crit1 = 2.0 * gammaincinv(0.5, 1.0 - level)
@@ -245,7 +248,10 @@ def method_quantile(x, p: float, method: str) -> float:
     return weissman_quantile(x, p, K_WEISSMAN, fit).value
 
 
-def _series_values(r) -> np.ndarray:
+def _roll_values(r, window: int, step: int) -> np.ndarray:
+    """The finite values of a roll's series, its window and step checked >= 1."""
+    if window < 1 or step < 1:
+        raise ValueError(f"window and step must be >= 1, got window={window}, step={step}")
     return _finite_floats(r.values if isinstance(r, ReturnSeries) else r, "backtest series")
 
 
@@ -281,9 +287,10 @@ def roll_unconditional(r, window: int = 2000, step: int = 250, p: float = 0.99,
 
     Each window of `window` observations (stepped by `step`) yields one
     level-p quantile forecast per method; exceedances are counted over the
-    following spans in `test_lens`.
+    following spans in `test_lens`.  A `window` or `step` below 1 is a
+    ValueError, raised before any fit.
     """
-    x = _series_values(r)
+    x = _roll_values(r, window, step)
     n = x.size
     if n < window + step:
         raise EstimationError(
@@ -341,8 +348,9 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
     For each day t (stepped by `step`) the model is fit by QMLE on the
     trailing `window` observations, the residual level-p quantile is
     estimated per method, and the forecast for day t+1 is
-    mu_next + sigma_next * q_resid.  A failed fit reuses the previous day's
-    parameters and records the day in `refit_failures`.
+    mu_next + sigma_next * q_resid (`Forecast.quantile`).  A failed fit reuses
+    the previous day's parameters and records the day in `refit_failures`.
+    A `window` or `step` below 1 is a ValueError, raised before any fit.
 
     Each fit is warm-started from the previous day's parameters, except the
     anchors: the first fit and every 250th after it run the cold starts of
@@ -350,7 +358,7 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
     anchor.  A warm search that does not converge falls back to the cold
     starts too; the target days of both are in `cold_days`.
     """
-    x = _series_values(r)
+    x = _roll_values(r, window, step)
     n = x.size
     if n < window + 1:
         raise EstimationError(
@@ -376,8 +384,7 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
         prev_params = fitted.params
         base = forecast_next(fitted, x[t])
         for m in methods:
-            rq = method_quantile(fitted.resid, p, m)
-            forecasts[m][j] = base.mu_next + base.sigma_next * rq
+            forecasts[m][j] = base.quantile(method_quantile(fitted.resid, p, m))
 
     days = fit_days + 1
     realized = x[days]

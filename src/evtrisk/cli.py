@@ -218,10 +218,10 @@ def _cmd_garch(args) -> None:
         report["filter_out"] = args.filter_out
     if args.forecast:
         rq = method_quantile(fitted.resid, args.p, args.resid_method)
-        fc = forecast_next(fitted, float(r.values[-1]), rq)
+        fc = forecast_next(fitted, float(r.values[-1]))
         report["forecast"] = {"p": args.p, "resid_method": args.resid_method,
                               "resid_quantile": rq, "mu_next": fc.mu_next,
-                              "sigma_next": fc.sigma_next, "quantile": fc.quantile}
+                              "sigma_next": fc.sigma_next, "quantile": fc.quantile(rq)}
     _emit(args, report, series=series)
 
 

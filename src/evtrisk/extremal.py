@@ -56,9 +56,6 @@ class ExtremalIndexFit:
     theta_raw: float
     ci: Optional[tuple] = None  # (lower, upper, level)
 
-    def with_ci(self, lower: float, upper: float, level: float) -> "ExtremalIndexFit":
-        return replace(self, ci=(lower, upper, level))
-
 
 def block_maxima_sliding(x, b: int) -> np.ndarray:
     """Maxima over all sliding windows of b+1 consecutive points (length n-b).
@@ -149,13 +146,14 @@ def _with_ci(fit: ExtremalIndexFit, ranks: np.ndarray, level: float, method: str
         n_eff = fit.pseudo_obs_count / fit.block_size
         z = ndtri(0.5 + level / 2.0)
         half = z / math.sqrt(n_eff)
-        return fit.with_ci(fit.theta * math.exp(-half), fit.theta * math.exp(half), level)
-    if method == BLOCK_BOOTSTRAP:
+        lower, upper = fit.theta * math.exp(-half), fit.theta * math.exp(half)
+    elif method == BLOCK_BOOTSTRAP:
         spec = replace(boot_spec or BootstrapSpec(), level=level)
         b = fit.block_size
         lower, upper, _ = percentile_ci(ranks, lambda rs: _fit_on_ranks(rs, b).theta, spec)
-        return fit.with_ci(lower, upper, level)
-    raise ValueError(f"unknown CI method {method!r}")
+    else:
+        raise ValueError(f"unknown CI method {method!r}")
+    return replace(fit, ci=(lower, upper, level))
 
 
 def theta_sweep(x, b_grid, level: float = 0.95,

@@ -17,7 +17,7 @@ cross-sectional dependence survive resampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,9 +40,6 @@ class TailDepFit:
     k: int
     n: int
     ci: Optional[tuple] = None  # (lower, upper, level)
-
-    def with_ci(self, lower: float, upper: float, level: float) -> "TailDepFit":
-        return replace(self, ci=(lower, upper, level))
 
 
 def _check_pair(x, y, k: int):
@@ -96,7 +93,7 @@ def chi_trace(x, y, k_grid, boot_spec: Optional[BootstrapSpec] = None) -> list:
             out.append(chi_hat(x, y, k))
         else:  # chi_ci computes the point estimate as well
             lo, hi, point = chi_ci(x, y, k, boot_spec)
-            out.append(TailDepFit(point, k, len(x)).with_ci(lo, hi, boot_spec.level))
+            out.append(TailDepFit(point, k, len(x), ci=(lo, hi, boot_spec.level)))
     return out
 
 

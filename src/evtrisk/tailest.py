@@ -106,19 +106,23 @@ def qq_slope_alpha(points) -> TailFit:
     return TailFit(gamma=float(slope), k_alpha=len(pts), method="qq", n=len(pts))
 
 
-def _log_excesses(x, k_alpha: int) -> np.ndarray:
+def _log_excesses(x, k_alpha: int) -> tuple[np.ndarray, float]:
+    """Top k_alpha log-excesses and their mean M1 (the Hill estimate); nonpositive
+    top k_alpha + 1 order statistics, or all of them equal, are EstimationErrors."""
     top, thresh = _top_order_stats(x, k_alpha)
     if thresh <= 0 or np.min(top) <= 0:
         raise EstimationError(
             f"Hill estimator needs the top {k_alpha + 1} order statistics positive")
-    return np.log(top) - math.log(thresh)
+    logs = np.log(top) - math.log(thresh)
+    m1 = float(np.mean(logs))
+    if m1 == 0.0:
+        raise EstimationError("all top order statistics equal; Hill estimate degenerate")
+    return logs, m1
 
 
 def hill(x, k_alpha: int) -> TailFit:
     """Hill estimator of the extreme value index from the top k_alpha log-excesses."""
-    m1 = float(np.mean(_log_excesses(x, k_alpha)))
-    if m1 == 0.0:
-        raise EstimationError("all top order statistics equal; Hill estimate degenerate")
+    _, m1 = _log_excesses(x, k_alpha)
     return TailFit(gamma=m1, k_alpha=k_alpha, method="hill", n=len(x))
 
 
@@ -137,11 +141,8 @@ def hill_corrected(x, k_alpha: int, rho: float = -1.0) -> TailFit:
     """
     if rho >= 0:
         raise ValueError(f"rho must be negative, got {rho}")
-    logs = _log_excesses(x, k_alpha)
-    m1 = float(np.mean(logs))
+    logs, m1 = _log_excesses(x, k_alpha)
     m2 = float(np.mean(logs ** 2))
-    if m1 == 0.0:
-        raise EstimationError("all top order statistics equal; Hill estimate degenerate")
     t = m2 / (2.0 * m1)
     gamma = (m1 - (1.0 - rho) * t) / rho
     if gamma <= 0:

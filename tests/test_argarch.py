@@ -149,9 +149,7 @@ def test_forecast_next_step():
     innov_last = f.resid[-1] * f.sigma[-1]
     want_var = 0.02 + 0.1 * innov_last ** 2 + 0.85 * f.sigma[-1] ** 2
     assert fc.sigma_next == pytest.approx(np.sqrt(want_var))
-    assert fc.quantile is None
-    with_q = ev.forecast_next(f, x[-1], resid_quantile=2.0)
-    assert with_q.quantile == pytest.approx(fc.mu_next + 2.0 * fc.sigma_next)
+    assert fc.quantile(2.0) == pytest.approx(fc.mu_next + 2.0 * fc.sigma_next)
 
 
 def test_residual_whiteness_on_sp500(sp500_fit):

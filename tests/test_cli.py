@@ -112,8 +112,13 @@ def test_domain_error_exits_1(pareto_csv, tmp_path, capsys):
     (["backtest-uncond", "--methods", "hill,foo"], "unknown methods ['foo']"),
     (["decluster", "--method", "weekday"], "--weekday is required"),
     (["decluster", "--method", "gap"], "--gap-days is required"),
+    (["backtest-uncond", "--step", 0], "window and step must be >= 1"),
+    (["backtest-cond", "--step", 0], "window and step must be >= 1"),
+    (["backtest-uncond", "--window", 0], "window and step must be >= 1"),
+    (["backtest-uncond", "--level", 1.5, "--test-len", 250], "level must be in (0, 1)"),
 ], ids=["grid-descending", "grid-not-integers", "unknown-method", "weekday-missing",
-        "gap-days-missing"])
+        "gap-days-missing", "uncond-step-0", "cond-step-0", "uncond-window-0",
+        "uncond-level-1.5"])
 def test_bad_option_value_exits_1_with_one_error_line(pareto_csv, tmp_path, capsys,
                                                       argv, message):
     code = _run(*argv, "--input", pareto_csv, "--out-dir", tmp_path / "o")

@@ -1,6 +1,7 @@
 """Sliding-blocks extremal index estimation and confidence intervals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ def test_sweep_covers_grid_and_attaches_cis():
             # the sweep ranks x once; each fit and interval is the one made alone
             alone = ev.extremal_index_sliding(x, f.block_size)
             ci = ev.theta_ci(alone, x, level=0.95, method=method, boot_spec=spec)
-            assert repr(f) == repr(alone.with_ci(*ci, 0.95))
+            assert repr(f) == repr(replace(alone, ci=(*ci, 0.95)))
 
 
 @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])

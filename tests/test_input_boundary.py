@@ -73,6 +73,15 @@ DOMAIN_ERRORS = {
         EstimationError, "empty filtered series"),
     "exceedance-series-p": (lambda: ev.ExceedanceSeries(np.zeros(5), 1.0),
                             ValueError, r"p must be in \(0, 1\)"),
+    "sliding_backtest-level": (lambda: ev.sliding_backtest(
+        ev.ExceedanceSeries(np.zeros(5), 0.01), 3, level=1.5),
+        ValueError, r"level must be in \(0, 1\)"),
+    "roll_unconditional-step-0": (lambda: ev.roll_unconditional(
+        CLEAN, window=100, step=0, methods=("empirical",)),
+        ValueError, "window and step must be >= 1"),
+    "roll_conditional-window-0": (lambda: ev.roll_conditional(
+        CLEAN, window=0, methods=("empirical",)),
+        ValueError, "window and step must be >= 1"),
     "uc_test-empty": (lambda: ev.uc_test(ev.ExceedanceSeries(np.zeros(0), 0.01)),
                       ValueError, "at least one indicator"),
     "ind_test-one": (lambda: ev.ind_test(ev.ExceedanceSeries(np.zeros(1), 0.01)),
@@ -97,6 +106,8 @@ DOMAIN_ERRORS = {
                                EstimationError, "nonpositive quantile-plot slope"),
     "pareto_qq_points-non-positive": (lambda: ev.pareto_qq_points(NON_POSITIVE_TAIL, 5),
                                       EstimationError, "positive for the log plot"),
+    "hill-equal-top": (lambda: ev.hill(np.ones(10), 3),
+                       EstimationError, "Hill estimate degenerate"),
     "hill_corrected-equal-top": (lambda: ev.hill_corrected(np.ones(10), 3),
                                  EstimationError, "Hill estimate degenerate"),
     "weissman_quantile-p": (lambda: ev.weissman_quantile(CLEAN, 1.0, 50, CLEAN_FIT),
