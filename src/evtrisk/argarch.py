@@ -25,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from .errors import ConvergenceError, EstimationError, _finite_floats
@@ -41,11 +40,18 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _MAX_PERSISTENCE = 1.0 - 1e-6
-# L-BFGS-B box of z: only z[3], the logit of the persistence, is bounded
-_BOUNDS = [(None, None)] * 3 + [(None, float(logit(_MAX_PERSISTENCE))), (None, None)]
-# largest |projected gradient| entry at which a search's ABNORMAL stop is
-# accepted as converged; _search says why
+# the one box bound of the search: z[3], the logit of the persistence
+_Z3_MAX = float(logit(_MAX_PERSISTENCE))
+# `minimize` converges at a largest |projected gradient| entry of _GTOL, or
+# when a step decreases the objective by at most _FTOL relative (a stall)
+_GTOL = 1e-5
+_FTOL = 1e-15
+# largest |projected gradient| entry at which a search whose line search
+# failed is accepted as converged; _search says why
 _ABNORMAL_GTOL = 5e-5
+# Armijo constant and the most objective evaluations of one line search
+_C1 = 1e-4
+_LINE_EVALS = 20
 PARAM_NAMES = ("mu", "phi", "omega", "a", "b_coef")
 
 
@@ -112,11 +118,15 @@ def _variance_solve(b_coef, rhs, trans="N"):
     """Solve y_t - b_coef * y_{t-1} = rhs_t for t = 1..n, from y_0 = 0.
 
     The recursion is a unit lower-bidiagonal linear system, so LAPACK's
-    banded triangular solver runs it, column by column for an (n, k) rhs
-    (column-major, such as drive.T of a (k, n) array, avoids a copy).
+    banded triangular solver runs it, column by column for an (n, k) rhs.
     trans="T" solves the transposed system, the backward recursion
-    y_t = rhs_t + b_coef * y_{t+1} from y_{n+1} = 0.
+    y_t = rhs_t + b_coef * y_{t+1} from y_{n+1} = 0.  The matrix is
+    Toeplitz, so the forward solve is the transposed one on the reversed
+    series: OpenBLAS's forward kernels round differently on different CPUs,
+    its transposed one the same on every CPU it was run on.
     """
+    if trans == "N":  # copied back in order: NumPy is slower on reversed views
+        return _variance_solve(b_coef, rhs[::-1], "T")[::-1].copy()
     n = rhs.shape[0]
     ab = np.empty((2, n), order="F")
     ab[0] = 1.0
@@ -146,11 +156,13 @@ def _recursion(x, mu, phi, omega, a, b_coef):
     start_var (sigma_1^2), w and v.
     """
     innov = x[1:] - mu - phi * x[:-1]
+    dev_sq = x - x.mean()
+    dev_sq *= dev_sq  # the steps of np.var(x), without its overhead
     prev_sq = np.empty_like(innov)
-    prev_sq[0] = (x[0] - x.mean()) ** 2
+    prev_sq[0] = dev_sq[0]
     np.square(innov[:-1], out=prev_sq[1:])
     u = omega + a * prev_sq
-    start_var = float(np.var(x))
+    start_var = float(dev_sq.mean())
     u[0] += b_coef * start_var
     sigma2 = _variance_solve(b_coef, u)
     v = innov / sigma2
@@ -284,43 +296,124 @@ def _neg_loglik(z, x) -> tuple:
     theta, jac = _unpack(z)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ll, score = _summed_score(x, theta)
-        grad = score @ jac
+        grad = np.einsum("i,ij->j", score, jac)  # no BLAS: the same bits on every CPU
     if not (math.isfinite(ll) and np.all(np.isfinite(grad))):
         return 1e300, np.zeros(5)
     return -ll, -grad
 
 
-def _search(x, p0) -> tuple:
-    """One L-BFGS-B search from p0: its result, and whether it converged.
+@dataclass(eq=False)
+class _SearchResult:
+    """End of a `minimize` search: the point x, its objective fun and gradient
+    jac, the objective evaluations nfev, and how the search stopped."""
 
-    A search converged if it reports `success`, or if it ends in the ABNORMAL
-    stop (its line search found no decrease; Byrd, Lu, Nocedal & Zhu 1995) with
-    no entry of its projected gradient g above 5e-5 in absolute value.  g is
-    the gradient of the negative loglik in the optimizer coordinates, except
-    that on the persistence bound an entry pointing past the bound counts as 0.
-    The loglik is then within about |g|^2 / (2 lambda) of the optimum, lambda
-    the smallest Hessian eigenvalue in those coordinates: on t(5) windows of
-    2,000 days lambda was 1.7 or more, so the gap is at most 4e-9, and searches
-    that do converge stopped with |g| entries up to 2.4e-4.
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nfev: int
+    success: bool
+    line_search_failed: bool
+
+
+def _projected(z, g) -> np.ndarray:
+    """g with its z[3] entry counted as 0 where it points past the bound."""
+    if z[3] >= _Z3_MAX and g[3] < 0:
+        g = g.copy()
+        g[3] = 0.0
+    return g
+
+
+def minimize(fun, z0, args=(), maxiter=15000) -> _SearchResult:
+    """Minimize fun(z, *args) -> (value, gradient) by BFGS subject to z[3] <= _Z3_MAX.
+
+    The inverse-Hessian update of Nocedal & Wright (2006, Algorithm 6.1):
+    the first step is -g / |g|, after which the inverse Hessian starts from
+    (s.y / y.y) I (their eq. 6.20); a pair with s.y <= 0 is not used.  Each
+    step is an Armijo backtracking line search (c1 = 1e-4) from the full
+    step, by safeguarded quadratic interpolation.  The bound is a box bound
+    as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995): a step that would cross
+    it is cut at it, and while the search sits on it with g[3] < 0 (or a
+    step that would leave through it) the z[3] row and column of the
+    inverse Hessian take no part in the step.
+
+    Success is a largest projected-gradient entry of at most 1e-5, or a
+    step that decreased the objective by at most 1e-15 relative (the
+    search has stalled at rounding level).  A line search that finds no
+    Armijo decrease in 20 evaluations ends the search at its last point
+    with `line_search_failed`; `maxiter` steps end it without success.
+    `nfev` counts every call of `fun`.  All small products run through
+    einsum, not BLAS, so a search takes the same steps on every CPU.
     """
-    # at the default ftol (2.2e-9 relative, about 5e-6 on a 2,000-observation
-    # loglik) a search can stop 2e-8 short of the optimum, and at 1e-12 a
-    # warm search from a point this close still stops up to 1e-4 short;
-    # 1e-15 reaches it from a cold or a warm start
-    res = minimize(_neg_loglik, _pack(p0), args=(x,), method="L-BFGS-B",
-                   jac=True, bounds=_BOUNDS, options={"ftol": 1e-15})
-    g = res.jac.copy()
-    if res.x[3] >= _BOUNDS[3][1]:  # on the bound a descent past it is blocked
-        g[3] = max(g[3], 0.0)
-    return res, bool(res.success or (res.message.startswith("ABNORMAL")
-                                     and np.max(np.abs(g)) <= _ABNORMAL_GTOL))
+    z = np.array(z0, dtype=float)
+    z[3] = min(z[3], _Z3_MAX)
+    f, g = fun(z, *args)
+    nfev = 1
+    hinv = np.eye(z.size)
+    for it in range(maxiter):
+        if np.max(np.abs(_projected(z, g))) <= _GTOL:
+            return _SearchResult(z, f, g, nfev, True, False)
+        p = -np.einsum("ij,j->i", hinv, g)
+        if z[3] >= _Z3_MAX and (g[3] < 0 or p[3] > 0):  # hold z[3] on the bound
+            held = hinv.copy()
+            held[3] = held[:, 3] = 0.0
+            p = -np.einsum("ij,j->i", held, g)
+        if it == 0:
+            p /= math.sqrt(_dot(g, g))
+        slope = _dot(g, p)
+        to_bound = (_Z3_MAX - z[3]) / p[3] if p[3] > 0 else math.inf
+        step = min(1.0, to_bound)
+        for _ in range(_LINE_EVALS):
+            trial = z + step * p
+            if step == to_bound:
+                trial[3] = _Z3_MAX
+            f_trial, g_trial = fun(trial, *args)
+            nfev += 1
+            if f_trial <= f + _C1 * step * slope:
+                break
+            # minimizer of the quadratic through f, slope and f_trial, kept
+            # within [0.1, 0.5] of the failed step
+            quad = -slope * step * step / (2.0 * (f_trial - f - slope * step))
+            step = min(max(quad, 0.1 * step), 0.5 * step)
+        else:
+            return _SearchResult(z, f, g, nfev, False, True)
+        s, y = trial - z, g_trial - g
+        stalled = f - f_trial <= _FTOL * max(abs(f), abs(f_trial), 1.0)
+        z, f, g = trial, f_trial, g_trial
+        if stalled:
+            return _SearchResult(z, f, g, nfev, True, False)
+        sy = _dot(s, y)
+        if sy > 0:
+            if it == 0:
+                hinv = (sy / _dot(y, y)) * np.eye(z.size)
+            # (I - s y'/sy) H (I - y s'/sy) + s s'/sy, H symmetric
+            hy = np.einsum("ij,j->i", hinv, y)
+            hys = hy[:, None] * s
+            hinv = hinv - (hys + hys.T) / sy + ((_dot(y, hy) / sy + 1.0) / sy * s)[:, None] * s
+    return _SearchResult(z, f, g, nfev, False, False)
+
+
+def _search(x, p0) -> tuple:
+    """One `minimize` search from p0: its result, and whether it converged.
+
+    A search converged if it reports `success`, or if its line search failed
+    with no entry of its projected gradient g above 5e-5 in absolute value.
+    g is the gradient of the negative loglik in the optimizer coordinates,
+    except that on the persistence bound an entry pointing past the bound
+    counts as 0.  The loglik is then within about |g|^2 / (2 lambda) of the
+    optimum, lambda the smallest Hessian eigenvalue in those coordinates: on
+    t(5) windows of 2,000 days lambda was 1.7 or more, so the gap is at most
+    4e-9.
+    """
+    res = minimize(_neg_loglik, _pack(p0), (x,))
+    return res, bool(res.success or (res.line_search_failed and np.max(
+        np.abs(_projected(res.x, res.jac))) <= _ABNORMAL_GTOL))
 
 
 def fit_qmle(x, compute_se: bool = True,
              start: Optional[ArGarchParams] = None) -> FilteredSeries:
     """Fit AR(1)-GARCH(1,1) by Gaussian QMLE.
 
-    Quasi-Newton search (`_search`) on the exact score over a
+    BFGS search (`minimize`, judged by `_search`) on the exact score over a
     reparameterized space enforcing omega > 0, a >= 0 and b_coef >= 0; the
     persistence a + b_coef is bounded at 1 - 1e-6 by a box bound of the
     search.  Without `start` it is multistarted from two fixed data-derived
@@ -358,7 +451,7 @@ def fit_qmle(x, compute_se: bool = True,
         raise ConvergenceError("QMLE search failed to converge from any start")
     best = min(converged, key=lambda r: r.fun)
 
-    if best.x[3] >= _BOUNDS[3][1]:
+    if best.x[3] >= _Z3_MAX:
         flags = ("near_igarch",) + flags
     params = ArGarchParams(*(float(v) for v in _unpack(best.x)[0]))
 

@@ -248,6 +248,17 @@ def method_quantile(x, p: float, method: str) -> float:
     return weissman_quantile(x, p, K_WEISSMAN, fit).value
 
 
+def _window_quantile(x, p: float, method: str, window: int) -> float:
+    """`method_quantile` of a roll's window sample; its error names the
+    method, its k_alpha and the window."""
+    try:
+        return method_quantile(x, p, method)
+    except EstimationError as err:
+        k = f" at k_alpha {_K_ALPHA[method]}" if method in _K_ALPHA else ""
+        raise EstimationError(
+            f"quantile method {method}{k} fails on window {window}: {err}") from err
+
+
 def _roll_values(r, window: int, step: int) -> np.ndarray:
     """The finite values of a roll's series, its window and step checked >= 1."""
     if window < 1 or step < 1:
@@ -288,7 +299,8 @@ def roll_unconditional(r, window: int = 2000, step: int = 250, p: float = 0.99,
     Each window of `window` observations (stepped by `step`) yields one
     level-p quantile forecast per method; exceedances are counted over the
     following spans in `test_lens`.  A `window` or `step` below 1 is a
-    ValueError, raised before any fit.
+    ValueError, raised before any fit; a window too short for a method is
+    an EstimationError naming the method, its k_alpha and the window.
     """
     x = _roll_values(r, window, step)
     n = x.size
@@ -302,7 +314,7 @@ def roll_unconditional(r, window: int = 2000, step: int = 250, p: float = 0.99,
     for j, s in enumerate(starts):
         xwin = x[s:s + window]
         for m in methods:
-            q = method_quantile(xwin, p, m)
+            q = _window_quantile(xwin, p, m, window)
             forecasts[m][j] = q
             for L in test_lens:
                 if s + window + L <= n:
@@ -350,7 +362,9 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
     estimated per method, and the forecast for day t+1 is
     mu_next + sigma_next * q_resid (`Forecast.quantile`).  A failed fit reuses
     the previous day's parameters and records the day in `refit_failures`.
-    A `window` or `step` below 1 is a ValueError, raised before any fit.
+    A `window` or `step` below 1 is a ValueError, raised before any fit; a
+    window whose residuals are too few for a method is an EstimationError
+    naming the method, its k_alpha and the window.
 
     Each fit is warm-started from the previous day's parameters, except the
     anchors: the first fit and every 250th after it run the cold starts of
@@ -384,7 +398,7 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
         prev_params = fitted.params
         base = forecast_next(fitted, x[t])
         for m in methods:
-            forecasts[m][j] = base.quantile(method_quantile(fitted.resid, p, m))
+            forecasts[m][j] = base.quantile(_window_quantile(fitted.resid, p, m, window))
 
     days = fit_days + 1
     realized = x[days]

@@ -116,6 +116,14 @@ def _parse_test_lens(text: str) -> tuple:
     return test_lens
 
 
+def _backtest_options(args) -> tuple:
+    """The methods and test lengths of a backtest command, checked with its
+    --level before the input is loaded or any window estimated."""
+    if not 0 < args.level < 1:
+        raise ValueError(f"level must be in (0, 1), got {args.level}")
+    return _parse_methods(args.methods), _parse_test_lens(args.test_len)
+
+
 def _boot_spec(args, level: float) -> BootstrapSpec:
     return BootstrapSpec(replicates=args.boot_reps, mean_block=args.boot_mean_block,
                          seed=args.boot_seed, level=level)
@@ -244,8 +252,7 @@ def _sliding_tests(exceedances_by_method: dict, test_lens, level: float) -> dict
 
 
 def _cmd_backtest_uncond(args) -> None:
-    methods = _parse_methods(args.methods)
-    test_lens = _parse_test_lens(args.test_len)
+    methods, test_lens = _backtest_options(args)
     r = load_returns(args.input)
     res = roll_unconditional(r, window=args.window, step=args.step, p=args.p,
                              methods=methods, test_lens=test_lens)
@@ -268,8 +275,7 @@ def _cmd_backtest_uncond(args) -> None:
 
 
 def _cmd_backtest_cond(args) -> None:
-    methods = _parse_methods(args.methods)
-    test_lens = _parse_test_lens(args.test_len)
+    methods, test_lens = _backtest_options(args)
     r = load_returns(args.input)
     res = roll_conditional(r, window=args.window, step=args.step, p=args.p,
                            methods=methods)

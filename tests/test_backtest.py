@@ -299,16 +299,16 @@ def test_failed_warm_search_falls_back_to_the_cold_fit(monkeypatch):
 
 
 def _abnormal_first_search(monkeypatch, maxiter=None):
-    """Make the first search of argarch.minimize end in the ABNORMAL
-    line-search stop, after at most maxiter iterations if given."""
+    """Make the first search of argarch.minimize end in a failed line
+    search, after at most maxiter iterations if given."""
     real_minimize, searches = argarch.minimize, []
 
     def wrapped(*args, **kwargs):
         if not searches and maxiter:
-            kwargs["options"] = {**kwargs["options"], "maxiter": maxiter}
+            kwargs["maxiter"] = maxiter
         res = real_minimize(*args, **kwargs)
         if not searches:
-            res.success, res.status, res.message = False, 2, "ABNORMAL: "
+            res.success, res.line_search_failed = False, True
         searches.append(res)
         return res
 
@@ -337,7 +337,7 @@ def test_abnormal_warm_stop_on_the_persistence_bound_is_kept(monkeypatch):
     searches = _abnormal_first_search(monkeypatch)
     fit = ev.fit_qmle(x, compute_se=False, start=cold.params)
     warm = searches[0]
-    assert warm.x[3] >= argarch._BOUNDS[3][1] and warm.jac[3] < -argarch._ABNORMAL_GTOL
+    assert warm.x[3] >= argarch._Z3_MAX and warm.jac[3] < -argarch._ABNORMAL_GTOL
     assert len(searches) == 1
     assert fit.flags == ("near_igarch",)
     assert fit.loglik >= cold.loglik - 1e-8
@@ -357,8 +357,9 @@ def test_abnormal_warm_stop_far_from_the_optimum_falls_back(monkeypatch):
 
 
 def test_abnormal_cold_stops_at_the_optimum_are_kept(monkeypatch):
-    # the cold searches of this series all succeed; reported as ABNORMAL at
-    # the same end points they pass the one convergence rule of every search
+    # the cold searches of this series all succeed; reported as failed line
+    # searches at the same end points they pass the one convergence rule of
+    # every search
     x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
                        innovation="student_t", df=5.0)
     cold = ev.fit_qmle(x, compute_se=False)
@@ -367,7 +368,7 @@ def test_abnormal_cold_stops_at_the_optimum_are_kept(monkeypatch):
     def wrapped(*args, **kwargs):
         res = real_minimize(*args, **kwargs)
         assert res.success
-        res.success, res.status, res.message = False, 2, "ABNORMAL: "
+        res.success, res.line_search_failed = False, True
         searches.append(res)
         return res
 
@@ -376,6 +377,29 @@ def test_abnormal_cold_stops_at_the_optimum_are_kept(monkeypatch):
     assert len(searches) == len(argarch._starts(x))
     assert fit.params == cold.params and fit.loglik == cold.loglik
     assert fit.flags == cold.flags == ()
+
+
+def test_searches_report_every_objective_evaluation(monkeypatch):
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
+                       innovation="student_t", df=5.0)
+    cold = ev.fit_qmle(x, compute_se=False)
+    real_objective, real_minimize, evals, searches = argarch._neg_loglik, argarch.minimize, [], []
+
+    def objective(z, x):
+        evals.append(z)
+        return real_objective(z, x)
+
+    def wrapped(*args, **kwargs):
+        searches.append(real_minimize(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(argarch, "_neg_loglik", objective)
+    monkeypatch.setattr(argarch, "minimize", wrapped)
+    ev.fit_qmle(x, compute_se=False)
+    ev.fit_qmle(x[1:], compute_se=False, start=cold.params)
+    assert len(searches) == len(argarch._starts(x)) + 1
+    assert all(res.nfev > 1 for res in searches)
+    assert sum(res.nfev for res in searches) == len(evals)
 
 
 @pytest.mark.parametrize("warm", [False, True])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import evtrisk as ev
+from evtrisk import cli
 from evtrisk.cli import main
 
 
@@ -116,16 +117,26 @@ def test_domain_error_exits_1(pareto_csv, tmp_path, capsys):
     (["backtest-cond", "--step", 0], "window and step must be >= 1"),
     (["backtest-uncond", "--window", 0], "window and step must be >= 1"),
     (["backtest-uncond", "--level", 1.5, "--test-len", 250], "level must be in (0, 1)"),
+    (["backtest-cond", "--level", 1.5], "level must be in (0, 1)"),
 ], ids=["grid-descending", "grid-not-integers", "unknown-method", "weekday-missing",
         "gap-days-missing", "uncond-step-0", "cond-step-0", "uncond-window-0",
-        "uncond-level-1.5"])
+        "uncond-level-1.5", "cond-level-1.5"])
 def test_bad_option_value_exits_1_with_one_error_line(pareto_csv, tmp_path, capsys,
-                                                      argv, message):
+                                                      monkeypatch, argv, message):
+    real_roll, rolls = cli.roll_conditional, []
+
+    def spy(*args, **kwargs):
+        rolls.append(args)
+        return real_roll(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "roll_conditional", spy)
     code = _run(*argv, "--input", pareto_csv, "--out-dir", tmp_path / "o")
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+    if "--level" in argv:  # refused before the roll
+        assert rolls == []
 
 
 def test_sim_is_byte_identical_across_runs(tmp_path):
@@ -417,6 +428,41 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
         reports.append([(out / name).read_bytes()
                         for name in ("garch_report.json", "acf_report.json", "acf_trace.csv")])
     assert reports[0] == reports[1]
+
+
+def _openblas_cores(core_type):
+    """The "Core:" lines OpenBLAS prints at start-up with OPENBLAS_CORETYPE set."""
+    env = dict(os.environ, OPENBLAS_VERBOSE="2", OPENBLAS_CORETYPE=core_type)
+    proc = subprocess.run([sys.executable, "-c", "import numpy, scipy.linalg.lapack"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return [line for line in proc.stderr.splitlines() if line.startswith("Core:")]
+
+
+def test_backtest_cond_does_not_depend_on_the_openblas_kernels(tmp_path):
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernels for one process; a BLAS
+    # kernel in a fit's arithmetic, such as the forward banded solve, gives
+    # each of these three its own days CSV even at this size
+    if _openblas_cores("Haswell") == _openblas_cores("Prescott"):
+        pytest.skip("OpenBLAS ignores OPENBLAS_CORETYPE here")
+    assert _run("sim", "--model", "argarch", "--mu", -0.05, "--phi", 0.066,
+                "--omega", 0.011, "--a", 0.099, "--b", 0.894, "--n", 330,
+                "--seed", 5, "--out", "sim.csv", "--out-dir", tmp_path) == 0
+    script = "import sys; from evtrisk.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for core_type in ("", "Haswell", "Prescott"):  # "" is the default
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if core_type:
+            env["OPENBLAS_CORETYPE"] = core_type
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / (core_type or "default")
+        subprocess.run([sys.executable, "-c", script, "backtest-cond",
+                        "--input", str(tmp_path / "sim.csv"), "--window", "300",
+                        "--methods", "hill,empirical", "--test-len", "20",
+                        "--out-dir", str(out)], env=env, check=True, timeout=300)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("backtest_cond_report.json", "backtest_cond_days.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_sim_dup_writes_the_duplicated_series(tmp_path):

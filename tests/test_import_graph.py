@@ -1,9 +1,11 @@
 """The import graph and the public names of the package root.
 
-evtrisk loads neither scipy.stats nor scipy.signal.  Those two subpackages
-cost about half of `import evtrisk`, which every CLI call pays, and nothing
-in evtrisk needs them.  That check runs in a fresh interpreter, because the
-test session itself imports scipy.stats as an oracle.
+evtrisk loads none of scipy.stats, scipy.signal and scipy.optimize.  The
+first two once cost about half of `import evtrisk`, which every CLI call
+pays, and nothing in evtrisk needs them; the QMLE fit runs its own search,
+so a fitting command loads no scipy.optimize either.  That check runs in a
+fresh interpreter, because the test session itself imports scipy.stats as
+an oracle.
 
 The root declares no public name itself: it re-exports the `__all__` of
 each submodule.  The CLI imports no private name from another module, so
@@ -22,7 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
 import json, sys
-heavy = ("scipy.stats", "scipy.signal")
+heavy = ("scipy.stats", "scipy.signal", "scipy.optimize")
 loaded = {}
 import evtrisk
 loaded["import"] = [m for m in heavy if m in sys.modules]
@@ -33,18 +35,22 @@ assert main(["sim", "--model", "pareto", "--alpha", "3", "--n", "500",
 assert main(["tail", "--input", out + "/pareto.csv", "--k-alpha", "50",
              "--p", "0.99", "--out-dir", out]) == 0
 loaded["tail"] = [m for m in heavy if m in sys.modules]
+assert main(["sim", "--model", "argarch", "--n", "300", "--seed", "3",
+             "--out", "garch.csv", "--out-dir", out]) == 0
+assert main(["garch", "--input", out + "/garch.csv", "--forecast", "--out-dir", out]) == 0
+loaded["garch"] = [m for m in heavy if m in sys.modules]
 print(json.dumps(loaded))
 """
 
 
-def test_evtrisk_loads_neither_scipy_stats_nor_scipy_signal(tmp_path):
+def test_evtrisk_loads_no_scipy_stats_signal_or_optimize(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "tail": []}
+    assert loaded == {"import": [], "tail": [], "garch": []}
 
 
 def test_root_exports_exactly_the_submodules_public_names():

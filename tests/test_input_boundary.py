@@ -82,6 +82,9 @@ DOMAIN_ERRORS = {
     "roll_conditional-window-0": (lambda: ev.roll_conditional(
         CLEAN, window=0, methods=("empirical",)),
         ValueError, "window and step must be >= 1"),
+    "roll_conditional-short-window": (lambda: ev.roll_conditional(CLEAN[:301], window=300),
+                                      EstimationError, "method corrected at k_alpha 200 "
+                                      "fails on window 300: Hill estimator needs"),
     "uc_test-empty": (lambda: ev.uc_test(ev.ExceedanceSeries(np.zeros(0), 0.01)),
                       ValueError, "at least one indicator"),
     "ind_test-one": (lambda: ev.ind_test(ev.ExceedanceSeries(np.zeros(1), 0.01)),
