@@ -20,8 +20,8 @@ and a_1 = x_1 - mean(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -91,7 +91,10 @@ class FilteredSeries:
 
     `sigma` and `resid` have length n - 1.  `se` holds QMLE sandwich
     standard errors when computed; `flags` carries fit diagnostics such as
-    "near_igarch" (the fit ended on the persistence bound 1 - 1e-6).
+    "near_igarch" (the fit ended on the persistence bound 1 - 1e-6).  A
+    `fit_qmle` result also keeps, privately, the optimizer vector and
+    inverse Hessian its search ended with, which a warm fit started from it
+    carries on.
     """
 
     sigma: np.ndarray
@@ -100,6 +103,7 @@ class FilteredSeries:
     loglik: float
     se: Optional[dict] = None
     flags: tuple = ()
+    _search_end: Optional[tuple] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -305,7 +309,8 @@ def _neg_loglik(z, x) -> tuple:
 @dataclass(eq=False)
 class _SearchResult:
     """End of a `minimize` search: the point x, its objective fun and gradient
-    jac, the objective evaluations nfev, and how the search stopped."""
+    jac, the objective evaluations nfev, how the search stopped, and its last
+    inverse Hessian hinv."""
 
     x: np.ndarray
     fun: float
@@ -313,6 +318,7 @@ class _SearchResult:
     nfev: int
     success: bool
     line_search_failed: bool
+    hinv: np.ndarray
 
 
 def _projected(z, g) -> np.ndarray:
@@ -323,41 +329,58 @@ def _projected(z, g) -> np.ndarray:
     return g
 
 
-def minimize(fun, z0, args=(), maxiter=15000) -> _SearchResult:
+def _direction(hinv, z, g) -> np.ndarray:
+    """The quasi-Newton step -hinv g; while z sits on the bound with g[3] < 0,
+    or the step would leave through it, the z[3] row and column of hinv take
+    no part in it."""
+    p = -np.einsum("ij,j->i", hinv, g)
+    if z[3] >= _Z3_MAX and (g[3] < 0 or p[3] > 0):
+        held = hinv.copy()
+        held[3] = held[:, 3] = 0.0
+        p = -np.einsum("ij,j->i", held, g)
+    return p
+
+
+def minimize(fun, z0, args=(), maxiter=15000, hinv0=None) -> _SearchResult:
     """Minimize fun(z, *args) -> (value, gradient) by BFGS subject to z[3] <= _Z3_MAX.
 
-    The inverse-Hessian update of Nocedal & Wright (2006, Algorithm 6.1):
-    the first step is -g / |g|, after which the inverse Hessian starts from
-    (s.y / y.y) I (their eq. 6.20); a pair with s.y <= 0 is not used.  Each
-    step is an Armijo backtracking line search (c1 = 1e-4) from the full
-    step, by safeguarded quadratic interpolation.  The bound is a box bound
-    as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995): a step that would cross
-    it is cut at it, and while the search sits on it with g[3] < 0 (or a
-    step that would leave through it) the z[3] row and column of the
-    inverse Hessian take no part in the step.
+    The inverse-Hessian update of Nocedal & Wright (2006, Algorithm 6.1).
+    Without `hinv0` the search starts from the identity: the first step is
+    -g / |g|, after which the inverse Hessian starts from (s.y / y.y) I
+    (their eq. 6.20).  With `hinv0`, such as the last inverse Hessian of a
+    search on a neighbouring objective, the first step is -hinv0 g and the
+    updates go on from hinv0 unscaled; if that step does not descend, the
+    search takes the identity start instead.  A pair with s.y <= 0 is not
+    used.  Each step is an Armijo backtracking line search (c1 = 1e-4) from
+    the full step, by safeguarded quadratic interpolation.  The bound is a
+    box bound as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995): a step that
+    would cross it is cut at it, and while the search sits on it the step
+    is taken as `_direction` says.
 
     Success is a largest projected-gradient entry of at most 1e-5, or a
     step that decreased the objective by at most 1e-15 relative (the
     search has stalled at rounding level).  A line search that finds no
     Armijo decrease in 20 evaluations ends the search at its last point
     with `line_search_failed`; `maxiter` steps end it without success.
-    `nfev` counts every call of `fun`.  All small products run through
-    einsum, not BLAS, so a search takes the same steps on every CPU.
+    `nfev` counts every call of `fun`, and `hinv` is the inverse Hessian
+    the search ended with.  All small products run through einsum, not
+    BLAS, so a search takes the same steps on every CPU.
     """
     z = np.array(z0, dtype=float)
     z[3] = min(z[3], _Z3_MAX)
     f, g = fun(z, *args)
     nfev = 1
-    hinv = np.eye(z.size)
+    # fresh: the identity start, whose first step is scaled to unit length
+    fresh = hinv0 is None
+    hinv = np.eye(z.size) if fresh else np.array(hinv0, dtype=float)
     for it in range(maxiter):
         if np.max(np.abs(_projected(z, g))) <= _GTOL:
-            return _SearchResult(z, f, g, nfev, True, False)
-        p = -np.einsum("ij,j->i", hinv, g)
-        if z[3] >= _Z3_MAX and (g[3] < 0 or p[3] > 0):  # hold z[3] on the bound
-            held = hinv.copy()
-            held[3] = held[:, 3] = 0.0
-            p = -np.einsum("ij,j->i", held, g)
-        if it == 0:
+            return _SearchResult(z, f, g, nfev, True, False, hinv)
+        p = _direction(hinv, z, g)
+        if it == 0 and not fresh and not _dot(g, p) < 0:  # the carried step does not descend
+            fresh, hinv = True, np.eye(z.size)
+            p = _direction(hinv, z, g)
+        if fresh:
             p /= math.sqrt(_dot(g, g))
         slope = _dot(g, p)
         to_bound = (_Z3_MAX - z[3]) / p[3] if p[3] > 0 else math.inf
@@ -375,25 +398,26 @@ def minimize(fun, z0, args=(), maxiter=15000) -> _SearchResult:
             quad = -slope * step * step / (2.0 * (f_trial - f - slope * step))
             step = min(max(quad, 0.1 * step), 0.5 * step)
         else:
-            return _SearchResult(z, f, g, nfev, False, True)
+            return _SearchResult(z, f, g, nfev, False, True, hinv)
         s, y = trial - z, g_trial - g
         stalled = f - f_trial <= _FTOL * max(abs(f), abs(f_trial), 1.0)
         z, f, g = trial, f_trial, g_trial
         if stalled:
-            return _SearchResult(z, f, g, nfev, True, False)
+            return _SearchResult(z, f, g, nfev, True, False, hinv)
         sy = _dot(s, y)
         if sy > 0:
-            if it == 0:
+            if fresh:
                 hinv = (sy / _dot(y, y)) * np.eye(z.size)
             # (I - s y'/sy) H (I - y s'/sy) + s s'/sy, H symmetric
             hy = np.einsum("ij,j->i", hinv, y)
             hys = hy[:, None] * s
             hinv = hinv - (hys + hys.T) / sy + ((_dot(y, hy) / sy + 1.0) / sy * s)[:, None] * s
-    return _SearchResult(z, f, g, nfev, False, False)
+        fresh = False
+    return _SearchResult(z, f, g, nfev, False, False, hinv)
 
 
-def _search(x, p0) -> tuple:
-    """One `minimize` search from p0: its result, and whether it converged.
+def _search(x, z0, hinv0=None) -> tuple:
+    """One `minimize` search from z0 (and hinv0): its result, and whether it converged.
 
     A search converged if it reports `success`, or if its line search failed
     with no entry of its projected gradient g above 5e-5 in absolute value.
@@ -404,13 +428,13 @@ def _search(x, p0) -> tuple:
     t(5) windows of 2,000 days lambda was 1.7 or more, so the gap is at most
     4e-9.
     """
-    res = minimize(_neg_loglik, _pack(p0), (x,))
+    res = minimize(_neg_loglik, z0, (x,), hinv0=hinv0)
     return res, bool(res.success or (res.line_search_failed and np.max(
         np.abs(_projected(res.x, res.jac))) <= _ABNORMAL_GTOL))
 
 
 def fit_qmle(x, compute_se: bool = True,
-             start: Optional[ArGarchParams] = None) -> FilteredSeries:
+             start: Union[ArGarchParams, FilteredSeries, None] = None) -> FilteredSeries:
     """Fit AR(1)-GARCH(1,1) by Gaussian QMLE.
 
     BFGS search (`minimize`, judged by `_search`) on the exact score over a
@@ -429,8 +453,13 @@ def fit_qmle(x, compute_se: bool = True,
         Return series, length >= 200, finite (else DataError), non-constant.
     compute_se : bool
         Attach QMLE sandwich standard errors (skipped in bulk rolling fits).
-    start : ArGarchParams, optional
-        Warm start, such as the previous day's fit of a rolling window.
+    start : ArGarchParams or FilteredSeries, optional
+        Warm start.  From parameters the search starts with the identity
+        inverse Hessian.  From a `fit_qmle` result, such as the previous
+        day's fit of a rolling window, it starts at the optimizer vector and
+        with the inverse Hessian that fit's search ended with, so the
+        curvature learned there carries over; a `filter_series` result
+        carries no search and starts from its parameters.
 
     Returns
     -------
@@ -442,10 +471,14 @@ def fit_qmle(x, compute_se: bool = True,
     if np.ptp(x) == 0:
         raise EstimationError("constant series: GARCH parameters unidentifiable")
 
-    searches = [] if start is None else [_search(x, start)]
+    if isinstance(start, FilteredSeries):  # where its search ended, else its parameters
+        start = start._search_end or start.params
+    if isinstance(start, ArGarchParams):
+        start = (_pack(start), None)
+    searches = [] if start is None else [_search(x, *start)]
     flags = () if all(ok for _, ok in searches) else ("warm_start_failed",)
     if flags or not searches:
-        searches = [_search(x, p0) for p0 in _starts(x)]
+        searches = [_search(x, _pack(p0)) for p0 in _starts(x)]
     converged = [res for res, ok in searches if ok]
     if not converged:
         raise ConvergenceError("QMLE search failed to converge from any start")
@@ -457,7 +490,26 @@ def fit_qmle(x, compute_se: bool = True,
 
     fitted = filter_series(x, params)
     se = _sandwich_se(x, params) if compute_se else None
-    return replace(fitted, se=se, flags=flags)
+    return replace(fitted, se=se, flags=flags, _search_end=(best.x, best.hinv))
+
+
+def _symmetric_inverse(a) -> np.ndarray:
+    """Inverse of a small symmetric matrix, symmetrized.
+
+    Gauss-Jordan elimination with partial pivoting in elementwise NumPy,
+    with no LAPACK kernel, so the same bits on every CPU.  A singular or
+    non-finite matrix gives non-finite entries.
+    """
+    n = len(a)
+    aug = np.concatenate([a, np.eye(n)], axis=1)
+    for k in range(n):
+        pivot = k + int(np.argmax(np.abs(aug[k:, k])))
+        aug[[k, pivot]] = aug[[pivot, k]]
+        aug[k] /= aug[k, k]
+        others = np.arange(n) != k
+        aug[others] -= aug[others, k, None] * aug[k]
+    inv = aug[:, n:]
+    return 0.5 * (inv + inv.T)
 
 
 def _sandwich_se(x, params: ArGarchParams) -> dict:
@@ -467,7 +519,9 @@ def _sandwich_se(x, params: ArGarchParams) -> dict:
     and H the Hessian of the total loglikelihood, taken as central
     differences of the summed score (`_summed_score`, the gradient the fit
     itself follows, so no score rows are built for H); both at the fitted
-    parameters in the original coordinates.  Boundary fits can yield NaN
+    parameters in the original coordinates.  S and the product run through
+    einsum and H is inverted by `_symmetric_inverse`, so no BLAS or LAPACK
+    kernel makes the SEs depend on the CPU.  Boundary fits can yield NaN
     entries; that is reported honestly rather than patched.
     """
     theta = params.as_array()
@@ -476,9 +530,9 @@ def _sandwich_se(x, params: ArGarchParams) -> dict:
         scores = _scores(x, theta)
         hess = np.column_stack([_summed_score(x, theta + e)[1] - _summed_score(x, theta - e)[1]
                                 for e in np.diag(h)]) / (2.0 * h)
-        hess = 0.5 * (hess + hess.T)
-        hinv = np.linalg.pinv(hess)
-        se = np.sqrt(np.diag(hinv @ (scores.T @ scores) @ hinv))
+        hinv = _symmetric_inverse(0.5 * (hess + hess.T))
+        outer = np.einsum("ti,tj->ij", scores, scores)
+        se = np.sqrt(np.einsum("ij,jk,ki->i", hinv, outer, hinv))
     return dict(zip(PARAM_NAMES, (float(s) for s in se)))
 
 

@@ -59,7 +59,8 @@ K_WEISSMAN = 50
 _K_ALPHA = {"hill": K_ALPHA_HILL, "corrected": K_ALPHA_CORRECTED}
 
 # roll_conditional fits cold (from fit_qmle's fixed starts) on fits 0, 250,
-# 500, ...; the fits in between start warm from the previous day's parameters
+# 500, ...; the fits in between start warm from the previous day's fit, at the
+# optimizer vector and inverse Hessian its search ended with
 _COLD_EVERY = 250
 
 
@@ -366,11 +367,14 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
     window whose residuals are too few for a method is an EstimationError
     naming the method, its k_alpha and the window.
 
-    Each fit is warm-started from the previous day's parameters, except the
+    Each fit is warm-started from the previous day's fit (`fit_qmle`'s
+    `start`), which carries the curvature its search learned, except the
     anchors: the first fit and every 250th after it run the cold starts of
-    `fit_qmle`, so a day depends on the days before it only back to its
-    anchor.  A warm search that does not converge falls back to the cold
-    starts too; the target days of both are in `cold_days`.
+    `fit_qmle` and carry nothing, so a day depends on the days before it
+    only back to its anchor.  A warm search that does not converge falls
+    back to the cold starts too; the target days of both are in
+    `cold_days`.  The day after a failed fit starts from the reused
+    parameters alone.
     """
     x = _roll_values(r, window, step)
     n = x.size
@@ -381,21 +385,20 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
 
     forecasts = {m: np.empty(fit_days.size) for m in methods}
     failures, cold = [], []
-    prev_params = None
+    fitted = None
     for j, t in enumerate(fit_days):
         xwin = x[t - window + 1:t + 1]
-        start = None if j % _COLD_EVERY == 0 else prev_params
+        start = None if j % _COLD_EVERY == 0 else fitted
         try:
             fitted = fit_qmle(xwin, compute_se=False, start=start)
         except (ConvergenceError, EstimationError):
-            if prev_params is None:
+            if fitted is None:
                 raise
-            fitted = filter_series(xwin, prev_params)
+            fitted = filter_series(xwin, fitted.params)
             failures.append(t + 1)
         else:
             if start is None or "warm_start_failed" in fitted.flags:
                 cold.append(t + 1)
-        prev_params = fitted.params
         base = forecast_next(fitted, x[t])
         for m in methods:
             forecasts[m][j] = base.quantile(_window_quantile(fitted.resid, p, m, window))

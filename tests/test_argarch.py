@@ -6,7 +6,8 @@ from scipy.special import logit
 
 import evtrisk as ev
 from evtrisk.argarch import (_gaussian_terms, _neg_loglik, _pack, _recursion, _scores,
-                             _summed_score, _unpack, _variance_solve)
+                             _summed_score, _symmetric_inverse, _unpack, _variance_solve,
+                             minimize)
 from evtrisk.errors import EstimationError
 
 GARCH_TRUTH = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
@@ -300,6 +301,34 @@ def test_neg_loglik_is_1e300_with_zero_gradient_where_the_loglik_overflows():
     value, grad = _neg_loglik(np.array([1e300, 0.0, 0.0, 0.0, 0.0]), x)
     assert value == 1e300
     assert grad.tolist() == [0.0] * 5
+
+
+def test_search_from_a_carried_inverse_hessian_that_does_not_descend_starts_afresh():
+    # -I turns the first step uphill, so the search must take the steps of
+    # the identity start, and a search started where another ended, with
+    # its inverse Hessian, stops at once
+    x = ev.sim_argarch(GARCH_TRUTH, 500, 11, innovation="student_t", df=5.0)
+    z0 = _pack(GARCH_TRUTH)
+    fresh = minimize(_neg_loglik, z0, (x,))
+    uphill = minimize(_neg_loglik, z0, (x,), hinv0=-np.eye(5))
+    assert fresh.success and fresh.nfev > 10
+    assert uphill.nfev == fresh.nfev and uphill.x.tolist() == fresh.x.tolist()
+    assert uphill.hinv.tolist() == fresh.hinv.tolist()
+    again = minimize(_neg_loglik, fresh.x, (x,), hinv0=fresh.hinv)
+    assert again.success and again.nfev <= 2
+
+
+def test_symmetric_inverse_matches_the_lapack_inverse():
+    x = ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0)
+    params = ev.fit_qmle(x, compute_se=False).params
+    theta = params.as_array()
+    h = 1e-4 * np.maximum(np.abs(theta), 1e-2)  # the steps of _sandwich_se
+    hess = np.column_stack([_summed_score(x, theta + e)[1] - _summed_score(x, theta - e)[1]
+                            for e in np.diag(h)]) / (2.0 * h)
+    hess = 0.5 * (hess + hess.T)
+    np.testing.assert_allclose(_symmetric_inverse(hess), np.linalg.inv(hess), rtol=1e-9)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.isfinite(_symmetric_inverse(np.ones((5, 5)))).all()
 
 
 def _loop_solve(b_coef, rhs, start, trans):

@@ -249,27 +249,88 @@ def _spy_on_fits(monkeypatch):
     return calls
 
 
+TRUTH = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
+
+
+def _warm_days_below_cold(monkeypatch, x, window, checked=None):
+    """Target days of a daily roll whose warm fit ends more than 1e-8 below a
+    cold fit of the same window, among the fits `checked` (default all).
+
+    The tolerance is the gate of test_fit_matches_frozen_reference: no loss
+    of loglik beyond 1e-8.
+    """
+    calls = _spy_on_fits(monkeypatch)
+    res = ev.roll_conditional(x, window=window, step=1, p=0.99, methods=("empirical",))
+    monkeypatch.undo()
+    assert len(calls) == len(x) - window
+    anchors = range(0, len(calls), backtest._COLD_EVERY)
+    assert [j for j, (_, start, _) in enumerate(calls) if start is None] == list(anchors)
+    assert res.cold_days.tolist() == [res.days[j] for j in anchors]
+    below = []
+    for j in range(len(calls)) if checked is None else checked:
+        xwin, start, fit = calls[j]
+        if start is not None and fit.loglik < ev.fit_qmle(xwin, compute_se=False).loglik - 1e-8:
+            below.append(int(res.days[j]))
+    return below
+
+
+# the golden backtest_cond roll (tests/golden/sim_argarch_roll/roll.csv)
+GOLDEN_ROLL = ev.sim_argarch(TRUTH, 452, 5, innovation="student_t", df=5.0)
+
+
 def test_roll_conditional_warm_fits_match_cold_fits(monkeypatch):
-    truth = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
-    # (series, window, indices of the fits checked).  The second is the golden
-    # backtest_cond roll (tests/golden/sim_argarch_roll/roll.csv) warm from
-    # day 320: the search of day 322 once stopped on the persistence bound
-    # 0.806 below the cold fit.
-    cases = [
-        (ev.sim_argarch(truth, 530, 31, innovation="student_t", df=5.0), 500, range(30)),
-        (ev.sim_argarch(truth, 452, 5, innovation="student_t", df=5.0)[120:323], 200, [2]),
-    ]
-    for x, window, checked in cases:
-        calls = _spy_on_fits(monkeypatch)
-        res = ev.roll_conditional(x, window=window, step=1, p=0.99, methods=("empirical",))
-        assert len(calls) == len(x) - window
-        assert res.cold_days.tolist() == [window]
-        assert calls[0][1] is None and all(start is not None for _, start, _ in calls[1:])
-        for xwin, _, fit in (calls[j] for j in checked):
-            cold = ev.fit_qmle(xwin, compute_se=False)
-            # the gate of test_fit_matches_frozen_reference: no loss beyond 1e-8
-            assert fit.loglik >= cold.loglik - 1e-8
-        monkeypatch.undo()
+    # the second case is the golden roll warm from day 320, whose fit ends
+    # on the persistence bound: the search of day 322 once stopped on the
+    # bound 0.806 below the cold fit, and day 321's just inside it
+    x = ev.sim_argarch(TRUTH, 530, 31, innovation="student_t", df=5.0)
+    assert _warm_days_below_cold(monkeypatch, x, 500, range(30)) == []
+    assert _warm_days_below_cold(monkeypatch, GOLDEN_ROLL[120:323], 200) == []
+
+
+def test_golden_roll_warm_fits_reach_the_cold_fits(monkeypatch):
+    # 27 warm days of this roll once ended below the cold fit; their rows of
+    # tests/golden/backtest_cond hold the forecasts of fits that do not
+    assert _warm_days_below_cold(monkeypatch, GOLDEN_ROLL, 200) == []
+
+
+def test_long_window_warm_fits_reach_the_cold_fits(monkeypatch):
+    # 25 warm days after a cold anchor on windows of 2,000 days; 13 of them
+    # once ended below the cold fit, the worst by 0.068
+    x = ev.sim_argarch(TRUTH, 3001, 7, innovation="student_t", df=5.0)[500:2526]
+    assert _warm_days_below_cold(monkeypatch, x, 2000) == []
+
+
+def test_roll_conditional_anchor_forgets_the_days_before_it():
+    # the golden roll has 252 fits, so fit 250 is its second anchor: from
+    # there on it must forecast what a roll started at that anchor does
+    methods = ("hill", "empirical")
+    full = ev.roll_conditional(GOLDEN_ROLL, window=200, methods=methods)
+    tail = ev.roll_conditional(GOLDEN_ROLL[250:], window=200, methods=methods)
+    assert full.days.size == 252 and tail.days.size == 2
+    for m in methods:
+        assert full.forecasts[m][250:].tobytes() == tail.forecasts[m].tobytes()
+
+
+def test_warm_fit_starts_where_the_previous_search_ended(monkeypatch):
+    x = ev.sim_argarch(TRUTH, 500, 32, innovation="student_t", df=5.0)
+    cold = ev.fit_qmle(x, compute_se=False)
+    real_minimize, starts = argarch.minimize, []
+
+    def wrapped(fun, z0, *args, **kwargs):
+        starts.append((z0, kwargs.get("hinv0")))
+        return real_minimize(fun, z0, *args, **kwargs)
+
+    monkeypatch.setattr(argarch, "minimize", wrapped)
+    ev.fit_qmle(x[1:], compute_se=False, start=cold)
+    z_end, hinv_end = cold._search_end
+    assert starts[0][0] is z_end and starts[0][1] is hinv_end
+    # parameters, and a filter_series result, which ran no search, start
+    # from the packed parameters with the identity
+    for start in (cold.params, ev.filter_series(x, cold.params)):
+        starts.clear()
+        ev.fit_qmle(x[1:], compute_se=False, start=start)
+        assert starts[0][0].tolist() == argarch._pack(cold.params).tolist()
+        assert starts[0][1] is None
 
 
 def _fail_search(monkeypatch, k):

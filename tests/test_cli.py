@@ -441,13 +441,17 @@ def _openblas_cores(core_type):
 def test_backtest_cond_does_not_depend_on_the_openblas_kernels(tmp_path):
     # OPENBLAS_CORETYPE picks OpenBLAS's kernels for one process; a BLAS
     # kernel in a fit's arithmetic, such as the forward banded solve, gives
-    # each of these three its own days CSV even at this size
+    # each of these three its own days CSV even at this size, and a BLAS
+    # product or LAPACK inverse in the sandwich its own garch SEs
     if _openblas_cores("Haswell") == _openblas_cores("Prescott"):
         pytest.skip("OpenBLAS ignores OPENBLAS_CORETYPE here")
     assert _run("sim", "--model", "argarch", "--mu", -0.05, "--phi", 0.066,
                 "--omega", 0.011, "--a", 0.099, "--b", 0.894, "--n", 330,
                 "--seed", 5, "--out", "sim.csv", "--out-dir", tmp_path) == 0
-    script = "import sys; from evtrisk.cli import main; sys.exit(main(sys.argv[1:]))"
+    script = ("import sys; from evtrisk.cli import main; args = sys.argv[1:]; "
+              "sys.exit(main(['backtest-cond', '--window', '300', '--methods', "
+              "'hill,empirical', '--test-len', '20', *args]) "
+              "or main(['garch', '--forecast', *args]))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for core_type in ("", "Haswell", "Prescott"):  # "" is the default
@@ -456,12 +460,11 @@ def test_backtest_cond_does_not_depend_on_the_openblas_kernels(tmp_path):
             env["OPENBLAS_CORETYPE"] = core_type
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         out = tmp_path / (core_type or "default")
-        subprocess.run([sys.executable, "-c", script, "backtest-cond",
-                        "--input", str(tmp_path / "sim.csv"), "--window", "300",
-                        "--methods", "hill,empirical", "--test-len", "20",
+        subprocess.run([sys.executable, "-c", script, "--input", str(tmp_path / "sim.csv"),
                         "--out-dir", str(out)], env=env, check=True, timeout=300)
         outputs.append([(out / name).read_bytes()
-                        for name in ("backtest_cond_report.json", "backtest_cond_days.csv")])
+                        for name in ("backtest_cond_report.json", "backtest_cond_days.csv",
+                                     "garch_report.json")])
     assert outputs[0] == outputs[1] == outputs[2]
 
 
