@@ -31,8 +31,10 @@ class BootstrapSpec:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not self.mean_block >= 1:
-            raise ValueError(f"mean_block must be >= 1, got {self.mean_block}")
+        if not 1 <= self.mean_block < np.inf:
+            raise ValueError(f"mean_block must be finite and >= 1, got {self.mean_block}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.level < 1:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
 
@@ -49,16 +51,18 @@ def resample_indices(n: int, spec: BootstrapSpec, replicate_index: int) -> np.nd
     rng = np.random.default_rng([int(spec.seed), int(replicate_index)])
     p = 1.0 / spec.mean_block
 
-    lengths = np.empty(0, dtype=np.int64)
-    starts = np.empty(0, dtype=np.int64)
+    # a block of n or more can only be the last one, which is trimmed below
+    # anyway; clipping its length at n changes no index, and keeps the sums
+    # of huge draws (mean blocks of about 1e18 and up) from overflowing int64
+    lengths, starts = [], []
     total = 0
     while total < n:
         m = max(int((n - total) * p * 1.5) + 16, 16)
-        ls = rng.geometric(p, size=m)
-        ss = rng.integers(0, n, size=m)
-        lengths = np.concatenate([lengths, ls])
-        starts = np.concatenate([starts, ss])
-        total += int(ls.sum())
+        lengths.append(np.minimum(rng.geometric(p, size=m), n))
+        starts.append(rng.integers(0, n, size=m))
+        total += int(lengths[-1].sum())
+    lengths = lengths[0] if len(lengths) == 1 else np.concatenate(lengths)
+    starts = starts[0] if len(starts) == 1 else np.concatenate(starts)
 
     # trim the blocks to n in all; a block running past n-1 becomes two
     # segments, [start, n) and [0, rest); the output at position j of a
@@ -67,12 +71,18 @@ def resample_indices(n: int, spec: BootstrapSpec, replicate_index: int) -> np.nd
     n_blocks = int(np.searchsorted(ends, n, side="left")) + 1
     starts = starts[:n_blocks]
     lengths = lengths[:n_blocks]
+    offset = starts - (ends[:n_blocks] - lengths)
     lengths[-1] -= ends[n_blocks - 1] - n
     head = np.minimum(lengths, n - starts)
-    offset = starts - (np.cumsum(lengths) - lengths)
-    seg_len = np.column_stack((head, lengths - head)).ravel()
-    seg_offset = np.column_stack((offset, offset - n)).ravel()
-    return np.arange(n) + np.repeat(seg_offset, seg_len)
+    seg_len = np.empty(2 * n_blocks, dtype=np.int64)
+    seg_len[0::2] = head
+    seg_len[1::2] = lengths - head
+    seg_offset = np.empty(2 * n_blocks, dtype=np.int64)
+    seg_offset[0::2] = offset
+    seg_offset[1::2] = offset - n
+    idx = np.repeat(seg_offset, seg_len)
+    idx += np.arange(n)
+    return idx
 
 
 def percentile_ci(x, statistic, spec: BootstrapSpec) -> tuple:

@@ -95,22 +95,35 @@ def extremal_index_sliding(x, b: int) -> ExtremalIndexFit:
 
 
 def _dense_ranks(x) -> np.ndarray:
-    """Ranks 0, 1, ... of the distinct values of x, ties sharing a rank."""
-    return np.unique(_finite_floats(x, "extremal index sample"), return_inverse=True)[1]
+    """Ranks 0, 1, ... of the distinct values of x, ties sharing a rank.
+
+    They are held in the smallest signed integer type that holds len(x),
+    int16 for up to 32,768 points, so the window maxima and each bootstrap
+    resample of the ranks move a quarter of the bytes of int64.
+    """
+    x = _finite_floats(x, "extremal index sample")
+    return np.unique(x, return_inverse=True)[1].astype(np.min_scalar_type(-len(x)))
 
 
 def _fit_on_ranks(ranks: np.ndarray, b: int) -> ExtremalIndexFit:
     """The estimate from integer ranks, dense or not, at block size b.
 
     F_n of a window maximum is the count of points at or below its rank: a
-    cumulative bincount indexed by the window maxima of the ranks.
+    cumulative bincount indexed by the window maxima of the ranks.  Only
+    the ranks from the smallest window maximum up are counted; those below
+    it enter as one count.  Each pseudo-observation takes the same
+    operations as over the full bincount, so the mean has the same bits.
     """
     n = len(ranks)
     if np.ptp(ranks) == 0:
         raise EstimationError("constant series: extremal index undefined")
     _check_block_size(b, n)
-    at_or_below = np.cumsum(np.bincount(ranks))
-    y = -b * np.log(at_or_below[_window_maxima(ranks, b + 1)] / n)
+    wm = _window_maxima(ranks, b + 1)
+    lo = wm.min()
+    top = ranks[ranks >= lo] - lo
+    at_or_below = np.cumsum(np.bincount(top)) + (n - len(top))
+    # take gathers faster than [] with the narrow index types of dense ranks
+    y = np.take(-b * np.log(at_or_below / n), wm - lo)
     mean_y = float(np.mean(y))
     if mean_y == 0.0:
         raise EstimationError(

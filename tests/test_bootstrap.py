@@ -16,6 +16,11 @@ def test_spec_validation():
         ev.BootstrapSpec(mean_block=0.5)
     with pytest.raises(ValueError):
         ev.BootstrapSpec(level=1.0)
+    for mean_block in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="mean_block must be finite"):
+            ev.BootstrapSpec(mean_block=mean_block)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ev.BootstrapSpec(seed=-1)
     spec = ev.BootstrapSpec()
     assert spec.replicates == 999
     assert spec.mean_block == 200.0

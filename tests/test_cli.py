@@ -118,9 +118,12 @@ def test_domain_error_exits_1(pareto_csv, tmp_path, capsys):
     (["backtest-uncond", "--window", 0], "window and step must be >= 1"),
     (["backtest-uncond", "--level", 1.5, "--test-len", 250], "level must be in (0, 1)"),
     (["backtest-cond", "--level", 1.5], "level must be in (0, 1)"),
+    (["theta", "--block-size", 100, "--ci", "boot", "--boot-mean-block", "inf"],
+     "mean_block must be finite and >= 1, got inf"),
+    (["tail", "--k-alpha", 100, "--ci", "--boot-seed", -1], "seed must be >= 0, got -1"),
 ], ids=["grid-descending", "grid-not-integers", "unknown-method", "weekday-missing",
         "gap-days-missing", "uncond-step-0", "cond-step-0", "uncond-window-0",
-        "uncond-level-1.5", "cond-level-1.5"])
+        "uncond-level-1.5", "cond-level-1.5", "boot-mean-block-inf", "boot-seed-negative"])
 def test_bad_option_value_exits_1_with_one_error_line(pareto_csv, tmp_path, capsys,
                                                       monkeypatch, argv, message):
     real_roll, rolls = cli.roll_conditional, []
@@ -259,6 +262,32 @@ def test_theta_bootstrap_ci_is_taken_at_level(pareto_csv, tmp_path):
     narrow = ev.theta_ci(fit, x, level=0.90, method="block_bootstrap",
                          boot_spec=spec)
     assert narrow != (lo, hi)
+
+
+def test_theta_bootstrap_ci_with_a_huge_mean_block_finishes(pareto_csv, tmp_path):
+    # such a mean block draws geometric lengths near or at INT64_MAX, whose
+    # sum once overflowed: 1e19 crashed the interpreter and 1e300 never
+    # left the draw loop, so each run is a subprocess under a timeout
+    script = ("import sys; from evtrisk.cli import main; "
+              "sys.exit(main(['theta', '--block-size', '100', '--ci', 'boot', "
+              "'--boot-reps', '20', *sys.argv[1:]]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    x = ev.load_returns(pareto_csv).values
+    fit = ev.extremal_index_sliding(x, 100)
+    # every length past n is cut to the same block, so a mean block of 1e12
+    # gives the same resamples: single blocks, wrapped round the series
+    spec = ev.BootstrapSpec(replicates=20, mean_block=1e12)
+    lo, hi = ev.theta_ci(fit, x, level=0.95, method="block_bootstrap", boot_spec=spec)
+    for mean_block in ("1e19", "1e300"):
+        out = tmp_path / mean_block
+        proc = subprocess.run([sys.executable, "-c", script, "--boot-mean-block", mean_block,
+                               "--input", str(pareto_csv), "--out-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (mean_block, proc.returncode, proc.stderr)
+        ci = _read_json(out / "theta_report.json")["ci"]
+        assert (ci["lower"], ci["upper"]) == (lo, hi), mean_block
 
 
 def test_ci_level_is_a_flag_of_tail_and_chi_only(pareto_csv, tmp_path):

@@ -241,3 +241,55 @@ def test_sweep_skips_a_degenerate_block_size():
     with pytest.raises(EstimationError):
         ev.extremal_index_sliding(x, 20)
     assert [f.block_size for f in ev.theta_sweep(x, [5, 20, 30])] == [5]
+
+
+def _formula_or_error(r, b):
+    """(theta, theta_raw) of ranks r at block size b, written out over the
+    whole cumulative bincount, or the type of the error it raises."""
+    n = len(r)
+    try:
+        if np.ptp(r) == 0:
+            raise EstimationError("constant series")
+        if not 1 < b < n:
+            raise ValueError("block size")
+        maxima = sliding_window_view(r, b + 1).max(axis=1)
+        y = -b * np.log(np.cumsum(np.bincount(r))[maxima] / n)
+        mean_y = float(np.mean(y))
+        if mean_y == 0.0:
+            raise EstimationError("degenerate")
+    except (EstimationError, ValueError) as exc:
+        return type(exc)
+    theta_raw = 1.0 / mean_y
+    return min(theta_raw, 1.0), theta_raw
+
+
+def _fit_or_error(r, b):
+    try:
+        fit = _fit_on_ranks(r, b)
+    except (EstimationError, ValueError) as exc:
+        return type(exc)
+    return fit.theta, fit.theta_raw
+
+
+def test_rank_fit_equals_the_formula_bit_for_bit():
+    raw = ev.sim_argarch(ev.ArGarchParams(0.0, 0.1, 0.2, 0.15, 0.8), 300, 11)
+    series = {"continuous": raw, "tied": np.round(raw, 0)}
+    spec = ev.BootstrapSpec(mean_block=20.0, seed=4)
+    samples = []
+    for name, x in series.items():
+        ranks = np.unique(x, return_inverse=True)[1]
+        samples += [(name, ranks[ev.resample_indices(len(x), spec, r)]) for r in range(4)]
+        samples.append((f"{name} non-dense", 3 * ranks + 7))
+    # a run of 40 lowest values: at b < 40 some window maximum is rank 0
+    low_run = np.unique(np.concatenate([raw[:100], np.full(40, -99.0), raw[140:]]),
+                        return_inverse=True)[1]
+    assert _window_maxima(low_run, 21).min() == 0
+    samples.append(("low run", low_run))
+    outcomes = set()
+    for name, r in samples:
+        for b in range(1, len(r)):
+            want = _formula_or_error(r, b)
+            # int16 is the type the package ranks a series of this length in
+            assert _fit_or_error(r, b) == _fit_or_error(r.astype(np.int16), b) == want, (name, b)
+            outcomes.add(want if isinstance(want, type) else "fit")
+    assert outcomes == {ValueError, EstimationError, "fit"}
