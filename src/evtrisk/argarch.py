@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
-from scipy.special import expit, logit
+from scipy.special import logit
 
 from .errors import ConvergenceError, EstimationError, _finite_floats
 
@@ -38,6 +38,7 @@ __all__ = [
     "forecast_next",
 ]
 
+_LOG_2 = math.log(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 _MAX_PERSISTENCE = 1.0 - 1e-6
 # the one box bound of the search: z[3], the logit of the persistence
@@ -118,65 +119,128 @@ class Forecast:
         return self.mu_next + self.sigma_next * float(q)
 
 
-def _variance_solve(b_coef, rhs, trans="N"):
-    """Solve y_t - b_coef * y_{t-1} = rhs_t for t = 1..n, from y_0 = 0.
+class _Likelihood:
+    """The Gaussian quasi-likelihood of one series, evaluated in place.
 
-    The recursion is a unit lower-bidiagonal linear system, so LAPACK's
-    banded triangular solver runs it, column by column for an (n, k) rhs.
-    trans="T" solves the transposed system, the backward recursion
-    y_t = rhs_t + b_coef * y_{t+1} from y_{n+1} = 0.  The matrix is
-    Toeplitz, so the forward solve is the transposed one on the reversed
-    series: OpenBLAS's forward kernels round differently on different CPUs,
-    its transposed one the same on every CPU it was run on.
+    A fit builds one, and its searches, its final `filter_series` and its
+    standard errors all run in it, so an objective evaluation allocates
+    nothing of length n.  It keeps views of x, the start values a_1^2
+    (sq[0]) and sigma_1^2 (start_var), the arrays that `recursion` fills,
+    and the band `ab` of the variance solve with its Fortran columns u, w.
     """
-    if trans == "N":  # copied back in order: NumPy is slower on reversed views
-        return _variance_solve(b_coef, rhs[::-1], "T")[::-1].copy()
-    n = rhs.shape[0]
-    ab = np.empty((2, n), order="F")
-    ab[0] = 1.0
-    ab[1] = -b_coef
-    y, info = dtbtrs(ab, rhs.reshape(n, -1), uplo="L", trans=trans, diag="U")
-    if info != 0:
-        raise EstimationError(f"banded variance solve failed (LAPACK info {info})")
-    return y.reshape(rhs.shape)
 
+    def __init__(self, x):
+        self.x, self.x_now, self.x_lag, self.x_lag2 = x, x[1:], x[:-1], x[:-2]
+        dev_sq = x - x.mean()
+        dev_sq *= dev_sq  # the steps of np.var(x), without its overhead
+        self.start_var = float(dev_sq.mean())
+        self.sq = np.empty_like(x)  # a_1^2, then innov_t^2 for t = 2..n
+        self.sq[0] = dev_sq[0]
+        self.prev_sq, self.innov_sq = self.sq[:-1], self.sq[1:]
+        self.innov, self.sigma2, self.v, self.tmp, self.terms = np.empty((5, x.size - 1))
+        self.ab = np.ones((2, x.size - 1), order="F")
+        self.u = np.empty((x.size - 1, 1), order="F")
+        self.w = np.empty_like(self.u)
 
-def _recursion(x, mu, phi, omega, a, b_coef):
-    """Innovations a_t, conditional variances sigma_t^2 and score factors, t = 2..n.
+    def solve(self, rhs) -> np.ndarray:
+        """Solve y_t = rhs_t + b_coef * y_{t+1} from y_n = rhs_n, in place on
+        the Fortran (n - 1, k) rhs, with -b_coef in row 1 of `ab`.
 
-    sigma2_t = u_t + b_coef * sigma2_{t-1}, with u_t = omega + a * a_{t-1}^2,
-    is linear in sigma2: one banded solve, with the start term
-    b_coef * sigma_1^2 folded into the first u_t.
+        This is the transpose of the variance recursion y_t - b_coef * y_{t-1}
+        = rhs_t, a unit lower-bidiagonal system that LAPACK's banded
+        triangular solver runs column by column.  The matrix is Toeplitz, so
+        the recursion itself is this solve on the reversed series: OpenBLAS's
+        forward kernels round differently on different CPUs, its transposed
+        one the same on every CPU it was run on.
+        """
+        info = dtbtrs(self.ab, rhs, uplo="L", trans="T", diag="U", overwrite_b=1)[1]
+        if info != 0:
+            raise EstimationError(f"banded variance solve failed (LAPACK info {info})")
+        return rhs
 
-    The score of observation t is w_t d sigma2_t - v_t d innov_t, with
-    w_t = (innov_t^2 / sigma2_t - 1) / (2 sigma2_t), v_t = innov_t / sigma2_t
-    and d the derivative in theta = (mu, phi, omega, a, b_coef).
-    d innov_t = (-1, -x_{t-1}, 0, 0, 0), and the variance derivatives follow
-    the variance recursion itself, d sigma2_t = drive_t + b_coef * d sigma2_{t-1}
-    with drive_t = (-2a innov_{t-1}, -2a innov_{t-1} x_{t-2}, 1, innov_{t-1}^2,
-    sigma2_{t-1}) (Fiorentini, Calzolari & Panattoni 1996); the start values
-    a_1 and sigma_1^2 do not depend on theta, so the first drive_t is
-    (0, 0, 1, a_1^2, sigma_1^2).  Returns innov, sigma2, prev_sq (a_{t-1}^2),
-    start_var (sigma_1^2), w and v.
-    """
-    innov = x[1:] - mu - phi * x[:-1]
-    dev_sq = x - x.mean()
-    dev_sq *= dev_sq  # the steps of np.var(x), without its overhead
-    prev_sq = np.empty_like(innov)
-    prev_sq[0] = dev_sq[0]
-    np.square(innov[:-1], out=prev_sq[1:])
-    u = omega + a * prev_sq
-    start_var = float(dev_sq.mean())
-    u[0] += b_coef * start_var
-    sigma2 = _variance_solve(b_coef, u)
-    v = innov / sigma2
-    w = 0.5 * (innov * v - 1.0) / sigma2
-    return innov, sigma2, prev_sq, start_var, w, v
+    def recursion(self, mu, phi, omega, a, b_coef) -> float:
+        """Innovations a_t, conditional variances sigma_t^2 and score factors,
+        t = 2..n, into innov, sigma2, v and w; returns the quasi-loglikelihood.
 
+        sigma2_t = u_t + b_coef * sigma2_{t-1}, with u_t = omega + a * a_{t-1}^2,
+        is linear in sigma2: one banded solve of u, written reversed, with
+        the start term b_coef * sigma_1^2 folded into the first u_t.
 
-def _gaussian_terms(innov, sigma2) -> np.ndarray:
-    """Gaussian loglikelihood term of each innovation given its variance."""
-    return -0.5 * (_LOG_2PI + np.log(sigma2) + innov * innov / sigma2)
+        The score of observation t is w_t d sigma2_t - v_t d innov_t, with
+        w_t = (innov_t^2 / sigma2_t - 1) / (2 sigma2_t), v_t = innov_t / sigma2_t
+        and d the derivative in theta = (mu, phi, omega, a, b_coef).
+        d innov_t = (-1, -x_{t-1}, 0, 0, 0), and the variance derivatives follow
+        the variance recursion itself, d sigma2_t = drive_t + b_coef * d sigma2_{t-1}
+        with drive_t = (-2a innov_{t-1}, -2a innov_{t-1} x_{t-2}, 1, innov_{t-1}^2,
+        sigma2_{t-1}) (Fiorentini, Calzolari & Panattoni 1996); the start values
+        a_1 and sigma_1^2 do not depend on theta, so the first drive_t is
+        (0, 0, 1, a_1^2, sigma_1^2).  w holds 2 w_t, and the loglik terms are
+        summed before their factor -1/2: a power of two commutes with
+        rounding, so the bits are those of the plain formulas.
+        """
+        innov, sigma2, tmp, terms = self.innov, self.sigma2, self.tmp, self.terms
+        np.multiply(self.x_lag, phi, out=innov)
+        np.subtract(self.x_now, mu, out=tmp)
+        np.subtract(tmp, innov, out=innov)
+        np.square(innov, out=self.innov_sq)
+        u = self.u[::-1, 0]  # in time order
+        np.multiply(self.prev_sq, a, out=tmp)
+        np.add(tmp, omega, out=u)
+        u[0] += b_coef * self.start_var
+        self.ab[1] = -b_coef
+        self.solve(self.u)
+        np.copyto(sigma2, u)  # in time order: NumPy is slower on reversed views
+        v = np.divide(innov, sigma2, out=self.v)
+        w = self.w[:, 0]
+        np.multiply(innov, v, out=w)
+        np.subtract(w, 1.0, out=w)
+        np.divide(w, sigma2, out=w)
+        np.log(sigma2, out=terms)
+        np.add(terms, _LOG_2PI, out=terms)
+        terms += np.divide(self.innov_sq, sigma2, out=tmp)
+        return -0.5 * float(terms.sum())
+
+    def score(self, theta) -> tuple:
+        """Quasi-loglikelihood at theta and its exact gradient in theta.
+
+        The gradient is the summed score by the adjoint method.  With L the
+        banded matrix of the variance recursion, d sigma2 = L^-1 drive, so
+        sum_t w_t d sigma2_t = (L^-T w) . drive: one backward solve of w, in
+        place, then five dot products against the factors of `recursion`.
+        No drive or d innov rows are built.  The solve runs on 2w, so the
+        sums over it are halved.
+        """
+        ll = self.recursion(*theta)
+        g = self.solve(self.w)[:, 0]
+        v, two_a = self.v, 2.0 * theta[3]
+        innov_g = np.multiply(self.innov[:-1], g[1:], out=self.tmp[:-1])
+        return ll, (v.sum() - two_a * (0.5 * innov_g.sum()),
+                    _dot(self.x_lag, v) - two_a * (0.5 * _dot(innov_g, self.x_lag2)),
+                    0.5 * g.sum(),
+                    0.5 * _dot(self.prev_sq, g),
+                    0.5 * (self.start_var * g[0] + _dot(self.sigma2[:-1], g[1:])))
+
+    def scores(self, theta) -> np.ndarray:
+        """Exact per-observation scores d l_t / d theta, shape (n - 1, 5).
+
+        One solve of the five drive rows of `recursion`, reversed; only the
+        outer product S of the sandwich needs the rows themselves.
+        """
+        self.recursion(*theta)
+        drive = np.empty((self.innov.size, 5), order="F")
+        rows = drive[::-1].T  # in time order
+        rows[:2, 0] = 0.0
+        rows[0, 1:] = -2.0 * theta[3] * self.innov[:-1]
+        rows[1, 1:] = rows[0, 1:] * self.x_lag2
+        rows[2] = 1.0
+        rows[3] = self.prev_sq
+        rows[4, 0] = self.start_var
+        rows[4, 1:] = self.sigma2[:-1]
+        # C-contiguous, in time order: on other layouts einsum rounds S otherwise
+        scores = (0.5 * self.w) * self.solve(drive)[::-1].copy()
+        scores[:, 0] += self.v
+        scores[:, 1] += self.v * self.x_lag
+        return scores
 
 
 def _dot(a, b) -> float:
@@ -185,86 +249,54 @@ def _dot(a, b) -> float:
     return np.einsum("i,i->", a, b)
 
 
-def _summed_score(x, theta) -> tuple:
-    """Quasi-loglikelihood at theta and its exact gradient in theta.
-
-    The gradient is the summed score by the adjoint method.  With L the
-    banded matrix of the variance recursion, d sigma2 = L^-1 drive, so
-    sum_t w_t d sigma2_t = (L^-T w) . drive: one backward 1-D solve of w,
-    then five dot products against the factors of `_recursion`.  No
-    drive or d innov rows are built.
-    """
-    innov, sigma2, prev_sq, start_var, w, v = _recursion(x, *theta)
-    g = _variance_solve(theta[4], w, "T")
-    two_a = 2.0 * theta[3]
-    innov_g = innov[:-1] * g[1:]
-    grad = np.array([
-        v.sum() - two_a * innov_g.sum(),
-        _dot(x[:-1], v) - two_a * _dot(innov_g, x[:-2]),
-        g.sum(),
-        _dot(prev_sq, g),
-        start_var * g[0] + _dot(sigma2[:-1], g[1:]),
-    ])
-    return float(np.sum(_gaussian_terms(innov, sigma2))), grad
-
-
-def _scores(x, theta) -> np.ndarray:
-    """Exact per-observation scores d l_t / d theta, shape (n - 1, 5).
-
-    One forward solve of the five drive rows of `_recursion`; only the
-    outer product S of the sandwich needs the rows themselves.
-    """
-    innov, sigma2, prev_sq, start_var, w, v = _recursion(x, *theta)
-    drive = np.empty((5, innov.size))
-    drive[:2, 0] = 0.0
-    drive[0, 1:] = -2.0 * theta[3] * innov[:-1]
-    drive[1, 1:] = drive[0, 1:] * x[:-2]
-    drive[2] = 1.0
-    drive[3] = prev_sq
-    drive[4, 0] = start_var
-    drive[4, 1:] = sigma2[:-1]
-    scores = w[:, None] * _variance_solve(theta[4], drive.T)
-    scores[:, 0] += v
-    scores[:, 1] += v * x[:-1]
-    return scores
-
-
 def filter_series(x, params: ArGarchParams) -> FilteredSeries:
     """Run the volatility recursion at fixed parameters.
 
     Deterministic; returns conditional volatilities, standardized residuals
     and the Gaussian quasi-loglikelihood evaluated at `params`.  A series
-    holding NaN or inf is a DataError.
+    holding NaN or inf is a DataError.  `fit_qmle` passes its checked
+    series as its `_Likelihood`.
     """
-    x = _finite_floats(x, "AR-GARCH series")
-    if x.size < 2:
-        raise EstimationError("need at least two observations to filter")
-    innov, sigma2 = _recursion(x, params.mu, params.phi, params.omega,
-                               params.a, params.b_coef)[:2]
-    sigma = np.sqrt(sigma2)
-    resid = innov / sigma
-    ll = float(np.sum(_gaussian_terms(innov, sigma2)))
-    return FilteredSeries(sigma=sigma, resid=resid, params=params, loglik=ll)
+    if not isinstance(x, _Likelihood):
+        x = _finite_floats(x, "AR-GARCH series")
+        if x.size < 2:
+            raise EstimationError("need at least two observations to filter")
+        x = _Likelihood(x)
+    ll = x.recursion(params.mu, params.phi, params.omega, params.a, params.b_coef)
+    sigma = np.sqrt(x.sigma2)
+    return FilteredSeries(sigma=sigma, resid=x.innov / sigma, params=params, loglik=ll)
+
+
+def _expit(v) -> float:
+    """1 / (1 + exp(-v)), the bits of scipy.special.expit without its call overhead."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # exp(-v) beyond the float range, where expit is 0
+        return 0.0
+
+
+def _softplus(v) -> float:
+    """log(1 + exp(v)) in the branches of np.logaddexp(0, v), so with its bits."""
+    if v > 0:
+        return v + math.log1p(math.exp(-v))
+    if v < 0:
+        return math.log1p(math.exp(v))
+    return _LOG_2 if v == 0 else v  # v is 0 or NaN
 
 
 def _unpack(z) -> tuple:
     """Map the unconstrained optimizer vector z to theta = (mu, phi, omega, a, b_coef).
 
-    Returns theta and its Jacobian d theta / d z, shape (5, 5).
+    Returns theta and the entries of the Jacobian d theta / d z besides its
+    unit (mu, phi) diagonal: d omega / d z[2], d a / d z[3], d b_coef / d z[3]
+    and d a / d z[4] (d b_coef / d z[4] is its negative; the rest are 0).
     """
-    mu, phi, wt, st, ft = z
-    total = float(expit(st))
-    frac = float(expit(ft))
-    theta = np.array([mu, phi, np.logaddexp(0.0, wt),  # softplus keeps omega > 0
-                      total * frac, total * (1.0 - frac)])
+    mu, phi, wt, st, ft = z.tolist()
+    total, frac = _expit(st), _expit(ft)
     d_total = total * (1.0 - total)
-    jac = np.zeros((5, 5))
-    jac[0, 0] = jac[1, 1] = 1.0
-    jac[2, 2] = expit(wt)
-    jac[3, 3], jac[4, 3] = d_total * frac, d_total * (1.0 - frac)
-    jac[3, 4] = total * frac * (1.0 - frac)
-    jac[4, 4] = -jac[3, 4]
-    return theta, jac
+    omega = _softplus(wt)  # keeps omega > 0
+    return ((mu, phi, omega, total * frac, total * (1.0 - frac)),
+            (_expit(wt), d_total * frac, d_total * (1.0 - frac), total * frac * (1.0 - frac)))
 
 
 def _pack(p: ArGarchParams) -> np.ndarray:
@@ -292,18 +324,22 @@ def _starts(x) -> list:
     ]
 
 
-def _neg_loglik(z, x) -> tuple:
+def _neg_loglik(z, work: _Likelihood) -> tuple:
     """Negative quasi-loglikelihood at optimizer vector z and its exact gradient in z.
 
-    One `_summed_score` call, its gradient carried to z by the chain rule.
+    One `work.score` call, its gradient carried to z by the chain rule: the
+    products with the nonzero Jacobian entries, summed from +0.0 in the
+    order of an einsum over the whole Jacobian, so with its bits.  The
+    gradient is a fresh array, as `minimize` keeps it across evaluations.
     """
-    theta, jac = _unpack(z)
+    theta, (d_omega, d_a, d_b, d_share) = _unpack(z)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ll, score = _summed_score(x, theta)
-        grad = np.einsum("i,ij->j", score, jac)  # no BLAS: the same bits on every CPU
-    if not (math.isfinite(ll) and np.all(np.isfinite(grad))):
+        ll, (s_mu, s_phi, s_omega, s_a, s_b) = work.score(theta)
+        grad = (0.0 + s_mu, 0.0 + s_phi, 0.0 + s_omega * d_omega,
+                0.0 + s_a * d_a + s_b * d_b, 0.0 + s_a * d_share + s_b * -d_share)
+    if not all(map(math.isfinite, (ll, *grad))):
         return 1e300, np.zeros(5)
-    return -ll, -grad
+    return -ll, np.negative(grad)
 
 
 @dataclass(eq=False)
@@ -416,7 +452,7 @@ def minimize(fun, z0, args=(), maxiter=15000, hinv0=None) -> _SearchResult:
     return _SearchResult(z, f, g, nfev, False, False, hinv)
 
 
-def _search(x, z0, hinv0=None) -> tuple:
+def _search(work, z0, hinv0=None) -> tuple:
     """One `minimize` search from z0 (and hinv0): its result, and whether it converged.
 
     A search converged if it reports `success`, or if its line search failed
@@ -428,7 +464,7 @@ def _search(x, z0, hinv0=None) -> tuple:
     t(5) windows of 2,000 days lambda was 1.7 or more, so the gap is at most
     4e-9.
     """
-    res = minimize(_neg_loglik, z0, (x,), hinv0=hinv0)
+    res = minimize(_neg_loglik, z0, (work,), hinv0=hinv0)
     return res, bool(res.success or (res.line_search_failed and np.max(
         np.abs(_projected(res.x, res.jac))) <= _ABNORMAL_GTOL))
 
@@ -475,10 +511,11 @@ def fit_qmle(x, compute_se: bool = True,
         start = start._search_end or start.params
     if isinstance(start, ArGarchParams):
         start = (_pack(start), None)
-    searches = [] if start is None else [_search(x, *start)]
+    work = _Likelihood(x)
+    searches = [] if start is None else [_search(work, *start)]
     flags = () if all(ok for _, ok in searches) else ("warm_start_failed",)
     if flags or not searches:
-        searches = [_search(x, _pack(p0)) for p0 in _starts(x)]
+        searches = [_search(work, _pack(p0)) for p0 in _starts(x)]
     converged = [res for res, ok in searches if ok]
     if not converged:
         raise ConvergenceError("QMLE search failed to converge from any start")
@@ -486,10 +523,10 @@ def fit_qmle(x, compute_se: bool = True,
 
     if best.x[3] >= _Z3_MAX:
         flags = ("near_igarch",) + flags
-    params = ArGarchParams(*(float(v) for v in _unpack(best.x)[0]))
+    params = ArGarchParams(*_unpack(best.x)[0])
 
-    fitted = filter_series(x, params)
-    se = _sandwich_se(x, params) if compute_se else None
+    fitted = filter_series(work, params)
+    se = _sandwich_se(work, params) if compute_se else None
     return replace(fitted, se=se, flags=flags, _search_end=(best.x, best.hinv))
 
 
@@ -512,12 +549,12 @@ def _symmetric_inverse(a) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def _sandwich_se(x, params: ArGarchParams) -> dict:
+def _sandwich_se(work: _Likelihood, params: ArGarchParams) -> dict:
     """QMLE sandwich standard errors H^-1 S H^-1 (Bollerslev & Wooldridge 1992).
 
-    S is the outer product of the exact per-observation scores (`_scores`)
+    S is the outer product of the exact per-observation scores (`_Likelihood.scores`)
     and H the Hessian of the total loglikelihood, taken as central
-    differences of the summed score (`_summed_score`, the gradient the fit
+    differences of the summed score (`_Likelihood.score`, the gradient the fit
     itself follows, so no score rows are built for H); both at the fitted
     parameters in the original coordinates.  S and the product run through
     einsum and H is inverted by `_symmetric_inverse`, so no BLAS or LAPACK
@@ -527,8 +564,8 @@ def _sandwich_se(x, params: ArGarchParams) -> dict:
     theta = params.as_array()
     h = 1e-4 * np.maximum(np.abs(theta), 1e-2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scores = _scores(x, theta)
-        hess = np.column_stack([_summed_score(x, theta + e)[1] - _summed_score(x, theta - e)[1]
+        scores = work.scores(theta)
+        hess = np.column_stack([np.subtract(work.score(theta + e)[1], work.score(theta - e)[1])
                                 for e in np.diag(h)]) / (2.0 * h)
         hinv = _symmetric_inverse(0.5 * (hess + hess.T))
         outer = np.einsum("ti,tj->ij", scores, scores)

@@ -29,6 +29,10 @@ class BootstrapSpec:
     level: float = 0.90
 
     def __post_init__(self):
+        for name in ("replicates", "seed"):  # a float seed would be truncated silently
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not 1 <= self.mean_block < np.inf:

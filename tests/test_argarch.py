@@ -1,13 +1,16 @@
 """AR(1)-GARCH(1,1) filtering, QMLE fitting, and forecasting."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.special import logit
+from scipy.linalg.lapack import dtbtrs
+from scipy.special import expit, logit
 
 import evtrisk as ev
-from evtrisk.argarch import (_gaussian_terms, _neg_loglik, _pack, _recursion, _scores,
-                             _summed_score, _symmetric_inverse, _unpack, _variance_solve,
-                             minimize)
+from evtrisk import argarch
+from evtrisk.argarch import _LOG_2PI, _Likelihood, _dot, _pack, _symmetric_inverse, minimize
 from evtrisk.errors import EstimationError
 
 GARCH_TRUTH = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
@@ -160,6 +163,149 @@ def test_residual_whiteness_on_sp500(sp500_fit):
     assert np.all(np.abs(ev.acf(fit.resid ** 2, 20)) < band)
 
 
+# The allocating formulas that the workspace `_Likelihood` replaced, kept
+# unchanged as its oracle: the objective must keep their bits.
+
+
+def _variance_solve(b_coef, rhs, trans="N"):
+    """Solve y_t - b_coef * y_{t-1} = rhs_t for t = 1..n, from y_0 = 0.
+
+    The recursion is a unit lower-bidiagonal linear system, so LAPACK's
+    banded triangular solver runs it, column by column for an (n, k) rhs.
+    trans="T" solves the transposed system, the backward recursion
+    y_t = rhs_t + b_coef * y_{t+1} from y_{n+1} = 0.  The matrix is
+    Toeplitz, so the forward solve is the transposed one on the reversed
+    series: OpenBLAS's forward kernels round differently on different CPUs,
+    its transposed one the same on every CPU it was run on.
+    """
+    if trans == "N":  # copied back in order: NumPy is slower on reversed views
+        return _variance_solve(b_coef, rhs[::-1], "T")[::-1].copy()
+    n = rhs.shape[0]
+    ab = np.empty((2, n), order="F")
+    ab[0] = 1.0
+    ab[1] = -b_coef
+    y, info = dtbtrs(ab, rhs.reshape(n, -1), uplo="L", trans=trans, diag="U")
+    if info != 0:
+        raise EstimationError(f"banded variance solve failed (LAPACK info {info})")
+    return y.reshape(rhs.shape)
+
+
+def _recursion(x, mu, phi, omega, a, b_coef):
+    """Innovations a_t, conditional variances sigma_t^2 and score factors, t = 2..n.
+
+    sigma2_t = u_t + b_coef * sigma2_{t-1}, with u_t = omega + a * a_{t-1}^2,
+    is linear in sigma2: one banded solve, with the start term
+    b_coef * sigma_1^2 folded into the first u_t.
+
+    The score of observation t is w_t d sigma2_t - v_t d innov_t, with
+    w_t = (innov_t^2 / sigma2_t - 1) / (2 sigma2_t), v_t = innov_t / sigma2_t
+    and d the derivative in theta = (mu, phi, omega, a, b_coef).
+    d innov_t = (-1, -x_{t-1}, 0, 0, 0), and the variance derivatives follow
+    the variance recursion itself, d sigma2_t = drive_t + b_coef * d sigma2_{t-1}
+    with drive_t = (-2a innov_{t-1}, -2a innov_{t-1} x_{t-2}, 1, innov_{t-1}^2,
+    sigma2_{t-1}) (Fiorentini, Calzolari & Panattoni 1996); the start values
+    a_1 and sigma_1^2 do not depend on theta, so the first drive_t is
+    (0, 0, 1, a_1^2, sigma_1^2).  Returns innov, sigma2, prev_sq (a_{t-1}^2),
+    start_var (sigma_1^2), w and v.
+    """
+    innov = x[1:] - mu - phi * x[:-1]
+    dev_sq = x - x.mean()
+    dev_sq *= dev_sq  # the steps of np.var(x), without its overhead
+    prev_sq = np.empty_like(innov)
+    prev_sq[0] = dev_sq[0]
+    np.square(innov[:-1], out=prev_sq[1:])
+    u = omega + a * prev_sq
+    start_var = float(dev_sq.mean())
+    u[0] += b_coef * start_var
+    sigma2 = _variance_solve(b_coef, u)
+    v = innov / sigma2
+    w = 0.5 * (innov * v - 1.0) / sigma2
+    return innov, sigma2, prev_sq, start_var, w, v
+
+
+def _gaussian_terms(innov, sigma2) -> np.ndarray:
+    """Gaussian loglikelihood term of each innovation given its variance."""
+    return -0.5 * (_LOG_2PI + np.log(sigma2) + innov * innov / sigma2)
+
+
+def _summed_score(x, theta) -> tuple:
+    """Quasi-loglikelihood at theta and its exact gradient in theta.
+
+    The gradient is the summed score by the adjoint method.  With L the
+    banded matrix of the variance recursion, d sigma2 = L^-1 drive, so
+    sum_t w_t d sigma2_t = (L^-T w) . drive: one backward 1-D solve of w,
+    then five dot products against the factors of `_recursion`.  No
+    drive or d innov rows are built.
+    """
+    innov, sigma2, prev_sq, start_var, w, v = _recursion(x, *theta)
+    g = _variance_solve(theta[4], w, "T")
+    two_a = 2.0 * theta[3]
+    innov_g = innov[:-1] * g[1:]
+    grad = np.array([
+        v.sum() - two_a * innov_g.sum(),
+        _dot(x[:-1], v) - two_a * _dot(innov_g, x[:-2]),
+        g.sum(),
+        _dot(prev_sq, g),
+        start_var * g[0] + _dot(sigma2[:-1], g[1:]),
+    ])
+    return float(np.sum(_gaussian_terms(innov, sigma2))), grad
+
+
+def _scores(x, theta) -> np.ndarray:
+    """Exact per-observation scores d l_t / d theta, shape (n - 1, 5).
+
+    One forward solve of the five drive rows of `_recursion`; only the
+    outer product S of the sandwich needs the rows themselves.
+    """
+    innov, sigma2, prev_sq, start_var, w, v = _recursion(x, *theta)
+    drive = np.empty((5, innov.size))
+    drive[:2, 0] = 0.0
+    drive[0, 1:] = -2.0 * theta[3] * innov[:-1]
+    drive[1, 1:] = drive[0, 1:] * x[:-2]
+    drive[2] = 1.0
+    drive[3] = prev_sq
+    drive[4, 0] = start_var
+    drive[4, 1:] = sigma2[:-1]
+    scores = w[:, None] * _variance_solve(theta[4], drive.T)
+    scores[:, 0] += v
+    scores[:, 1] += v * x[:-1]
+    return scores
+
+
+def _unpack(z) -> tuple:
+    """Map the unconstrained optimizer vector z to theta = (mu, phi, omega, a, b_coef).
+
+    Returns theta and its Jacobian d theta / d z, shape (5, 5).
+    """
+    mu, phi, wt, st, ft = z
+    total = float(expit(st))
+    frac = float(expit(ft))
+    theta = np.array([mu, phi, np.logaddexp(0.0, wt),  # softplus keeps omega > 0
+                      total * frac, total * (1.0 - frac)])
+    d_total = total * (1.0 - total)
+    jac = np.zeros((5, 5))
+    jac[0, 0] = jac[1, 1] = 1.0
+    jac[2, 2] = expit(wt)
+    jac[3, 3], jac[4, 3] = d_total * frac, d_total * (1.0 - frac)
+    jac[3, 4] = total * frac * (1.0 - frac)
+    jac[4, 4] = -jac[3, 4]
+    return theta, jac
+
+
+def _neg_loglik(z, x) -> tuple:
+    """Negative quasi-loglikelihood at optimizer vector z and its exact gradient in z.
+
+    One `_summed_score` call, its gradient carried to z by the chain rule.
+    """
+    theta, jac = _unpack(z)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ll, score = _summed_score(x, theta)
+        grad = np.einsum("i,ij->j", score, jac)  # no BLAS: the same bits on every CPU
+    if not (math.isfinite(ll) and np.all(np.isfinite(grad))):
+        return 1e300, np.zeros(5)
+    return -ll, -grad
+
+
 def _central_difference_scores(x, theta):
     """Per-observation loglikelihood gradient by central differences."""
     cols = []
@@ -178,7 +324,7 @@ def test_exact_scores_match_central_differences(at_fit):
     x = ev.sim_argarch(truth, 2000, 11, innovation="student_t", df=5.0)
     theta = (ev.fit_qmle(x, compute_se=False).params.as_array() if at_fit
              else np.array([0.1, -0.2, 0.05, 0.15, 0.7]))
-    got = _scores(x, theta)
+    got = _Likelihood(x).scores(theta)
     want = _central_difference_scores(x, theta)
     assert got.shape == (x.size - 1, 5)
     # relative error of each score column, measured in the column norm
@@ -285,20 +431,21 @@ def _point(point, x):
 @pytest.mark.parametrize("point", ["fit", "off-optimum", "at-bound"])
 def test_neg_loglik_gradient_matches_central_differences(point):
     x = ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0)
-    z = _point(point, x)
-    _, grad = _neg_loglik(z, x)
+    z, work = _point(point, x), _Likelihood(x)
+    _, grad = argarch._neg_loglik(z, work)
     want = np.empty(5)
     for i in range(5):
         step = np.zeros(5)
         step[i] = 1e-5
-        want[i] = (_neg_loglik(z + step, x)[0] - _neg_loglik(z - step, x)[0]) / 2e-5
+        want[i] = (argarch._neg_loglik(z + step, work)[0]
+                   - argarch._neg_loglik(z - step, work)[0]) / 2e-5
     np.testing.assert_allclose(grad, want, rtol=1e-6, atol=1e-6)
 
 
 def test_neg_loglik_is_1e300_with_zero_gradient_where_the_loglik_overflows():
     # mu = 1e300 overflows the squared innovations, so the loglik is not finite
     x = ev.sim_argarch(GARCH_TRUTH, 300, 11)
-    value, grad = _neg_loglik(np.array([1e300, 0.0, 0.0, 0.0, 0.0]), x)
+    value, grad = argarch._neg_loglik(np.array([1e300, 0.0, 0.0, 0.0, 0.0]), _Likelihood(x))
     assert value == 1e300
     assert grad.tolist() == [0.0] * 5
 
@@ -308,13 +455,13 @@ def test_search_from_a_carried_inverse_hessian_that_does_not_descend_starts_afre
     # the identity start, and a search started where another ended, with
     # its inverse Hessian, stops at once
     x = ev.sim_argarch(GARCH_TRUTH, 500, 11, innovation="student_t", df=5.0)
-    z0 = _pack(GARCH_TRUTH)
-    fresh = minimize(_neg_loglik, z0, (x,))
-    uphill = minimize(_neg_loglik, z0, (x,), hinv0=-np.eye(5))
+    z0, work = _pack(GARCH_TRUTH), _Likelihood(x)
+    fresh = minimize(argarch._neg_loglik, z0, (work,))
+    uphill = minimize(argarch._neg_loglik, z0, (work,), hinv0=-np.eye(5))
     assert fresh.success and fresh.nfev > 10
     assert uphill.nfev == fresh.nfev and uphill.x.tolist() == fresh.x.tolist()
     assert uphill.hinv.tolist() == fresh.hinv.tolist()
-    again = minimize(_neg_loglik, fresh.x, (x,), hinv0=fresh.hinv)
+    again = minimize(argarch._neg_loglik, fresh.x, (work,), hinv0=fresh.hinv)
     assert again.success and again.nfev <= 2
 
 
@@ -344,6 +491,16 @@ def _loop_solve(b_coef, rhs, start, trans):
     return y
 
 
+def _solve(b_coef, rhs, trans):
+    """`_Likelihood.solve` on rhs for "T", and on the reversed rhs for the
+    forward recursion "N", as `_Likelihood.recursion` runs it."""
+    work = _Likelihood(np.zeros(len(rhs) + 1))
+    work.ab[1] = -b_coef
+    y = np.asfortranarray((rhs if trans == "T" else rhs[::-1]).reshape(len(rhs), -1))
+    work.solve(y)
+    return (y if trans == "T" else y[::-1]).reshape(rhs.shape)
+
+
 @pytest.mark.parametrize("trans", ["N", "T"])
 @pytest.mark.parametrize("shape", [(1,), (1, 5), (15604,), (15604, 5)])
 @pytest.mark.parametrize("b_coef", [0.0, 0.5, 0.894, 1.0 - 1e-6])
@@ -355,7 +512,7 @@ def test_variance_solve_matches_loop(b_coef, shape, trans):
     want = _loop_solve(b_coef, rhs, start, trans)
     folded = rhs.copy()
     folded[0] += b_coef * start
-    got = _variance_solve(b_coef, np.asfortranarray(folded), trans)
+    got = _solve(b_coef, folded, trans)
     assert got.shape == shape
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
@@ -369,9 +526,10 @@ def test_adjoint_gradient_matches_forward_scores(point, n):
     x = ev.sim_argarch(GARCH_TRUTH, n, 11, innovation="student_t", df=5.0)
     z = _point(point, x)
     theta, jac = _unpack(z)
-    scores = _scores(x, theta)
+    work = _Likelihood(x)
+    scores = work.scores(theta)
     want = scores.sum(0) @ jac
-    _, grad = _neg_loglik(z, x)
+    _, grad = argarch._neg_loglik(z, work)
     err = np.abs(-grad - want)
     # at the fit the summed score cancels to about 1e-5 out of terms of order
     # 1e3, so its rounding is bounded relative to the sum of their magnitudes
@@ -384,10 +542,99 @@ def test_summed_score_matches_score_rows_at_the_hessian_points():
     x = ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0)
     theta = ev.fit_qmle(x, compute_se=False).params.as_array()
     h = 1e-4 * np.maximum(np.abs(theta), 1e-2)  # the steps of _sandwich_se
+    work = _Likelihood(x)
     for point in [*(theta + np.diag(h)), *(theta - np.diag(h))]:
-        scores = _scores(x, point)
-        ll, got = _summed_score(x, point)
+        scores = work.scores(point)
+        ll, got = work.score(point)
         assert ll == np.sum(_gaussian_terms(*_recursion(x, *point)[:2]))
         # near the fit the sums cancel, so rounding is bounded by the magnitudes
         err = np.abs(got - scores.sum(0))
         assert np.all(err <= 1e-10 * np.abs(scores).sum(0)), err
+
+
+def _draws(rng, z0, count):
+    """Optimizer vectors about z0: one in 50 scaled by 300, one in 97 with an
+    entry set to a signed zero, an expit or softplus overflow edge or 1e300."""
+    for k in range(count):
+        z = z0 + rng.normal(0.0, 1.0, 5) * rng.choice([0.1, 1.0, 3.0])
+        if k % 50 == 0:
+            z *= 300.0
+        if k % 97 == 0:
+            z[rng.integers(0, 5)] = rng.choice([0.0, -0.0, 709.8, -709.8, 746.0, -746.0,
+                                                1e300, -1e300])
+        yield z
+
+
+@pytest.mark.parametrize("n", [200, 2000, 15605])
+def test_objective_equals_the_allocating_formula_bit_for_bit(n):
+    x = ev.sim_argarch(GARCH_TRUTH, n, 11, innovation="student_t", df=5.0)
+    work = _Likelihood(x)
+    # the loglik overflow, wt == 0 and +-0.0, exp overflows, and d omega / d z[2]
+    # == 0 (at n = 2,000 times a negative score entry, a -0.0 product)
+    specials = [np.array([1e300, 0.0, 0.0, 0.0, 0.0]), np.zeros(5),
+                np.array([0.1, 0.2, -0.0, 800.0, -800.0]), np.array([0.0, 0.0, -750.0, 5.0, 0.0]),
+                np.array([-0.05, 0.066, -750.0, 13.0, -30.0])]
+    overflows = beyond = 0
+    for z in [*specials, *_draws(np.random.default_rng(n), _pack(GARCH_TRUTH), 2000)]:
+        want_value, want_grad = _neg_loglik(z, x)
+        value, grad = argarch._neg_loglik(z, work)
+        assert value == want_value, z
+        assert grad.tobytes() == want_grad.tobytes(), z  # every bit, the signs of 0 too
+        overflows += value == 1e300
+        beyond += np.abs(z).max() > 709.8
+    assert overflows >= 1 and beyond >= 40
+
+
+def test_scalar_maps_match_scipy_expit_and_numpy_logaddexp():
+    rng = np.random.default_rng(3)
+    edges = [0.0, -0.0, 709.78, -709.78, 709.8, -709.8, 745.2, -745.2, 746.0, -746.0,
+             36.7, -36.7, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf]
+    draws = np.concatenate([edges, rng.normal(0.0, 1.0, 2000), rng.normal(0.0, 40.0, 2000),
+                            rng.uniform(-800.0, 800.0, 2000)])
+    for v in draws.tolist():
+        assert math.copysign(1.0, argarch._expit(v)) == math.copysign(1.0, expit(v))
+        assert argarch._expit(v) == expit(v), v
+        assert argarch._softplus(v) == np.logaddexp(0.0, v), v
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(argarch._softplus(math.nan)) and math.isnan(np.logaddexp(0.0, math.nan))
+    assert math.isnan(argarch._expit(math.nan))
+
+
+def _assert_same_fit(got, want):
+    assert got.params == want.params and got.loglik == want.loglik
+    assert got.sigma.tobytes() == want.sigma.tobytes()
+    assert got.resid.tobytes() == want.resid.tobytes()
+    assert got.se == want.se and got.flags == want.flags
+    assert [a.tobytes() for a in got._search_end] == [a.tobytes() for a in want._search_end]
+
+
+@pytest.mark.parametrize("params, seed, start", [(GARCH_TRUTH, 11, 0), (WEAK_GARCH, 5021, 150)],
+                         ids=["t5-seed11", "weak-t5-seed5021"])
+def test_a_shared_workspace_leaks_nothing_between_searches(monkeypatch, params, seed, start):
+    # each evaluation of the allocating oracle starts afresh, so fits with it
+    # patched in see no state left in the workspace by an earlier search
+    x = ev.sim_argarch(params, start + 2001, seed, innovation="student_t", df=5.0)
+    today, tomorrow = x[start:start + 2000], x[start + 1:start + 2001]
+
+    def fits():
+        cold = ev.fit_qmle(today, compute_se=False)
+        return cold, ev.fit_qmle(tomorrow, compute_se=False, start=cold), ev.fit_qmle(tomorrow)
+
+    real = fits()
+    monkeypatch.setattr(argarch, "_neg_loglik", lambda z, work: _neg_loglik(z, work.x))
+    for got, want in zip(real, fits()):
+        _assert_same_fit(got, want)
+
+
+def test_an_evaluation_allocates_no_length_n_temporary():
+    n = 15605
+    x = ev.sim_argarch(GARCH_TRUTH, n, 11, innovation="student_t", df=5.0)
+    work, z = _Likelihood(x), _pack(GARCH_TRUTH)
+    argarch._neg_loglik(z, work)
+    tracemalloc.start()
+    try:
+        argarch._neg_loglik(z, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n, peak

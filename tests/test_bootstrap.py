@@ -21,6 +21,13 @@ def test_spec_validation():
             ev.BootstrapSpec(mean_block=mean_block)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         ev.BootstrapSpec(seed=-1)
+    for name, value in [("replicates", 2.5), ("replicates", 10.0), ("replicates", True),
+                        ("replicates", "10"), ("seed", 1.5), ("seed", np.float64(1.0)),
+                        ("seed", False), ("seed", None)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            ev.BootstrapSpec(**{name: value})
+    spec = ev.BootstrapSpec(replicates=np.int64(10), seed=np.uint32(7))
+    assert (spec.replicates, spec.seed) == (10, 7)
     spec = ev.BootstrapSpec()
     assert spec.replicates == 999
     assert spec.mean_block == 200.0
