@@ -47,12 +47,11 @@ _Z3_MAX = float(logit(_MAX_PERSISTENCE))
 # when a step decreases the objective by at most _FTOL relative (a stall)
 _GTOL = 1e-5
 _FTOL = 1e-15
-# largest |projected gradient| entry at which a search whose line search
-# failed is accepted as converged; _search says why
-_ABNORMAL_GTOL = 5e-5
-# Armijo constant and the most objective evaluations of one line search
+# Armijo constant, the most objective evaluations of one line search, and
+# the most steps of one search
 _C1 = 1e-4
 _LINE_EVALS = 20
+_MAX_STEPS = 15000
 PARAM_NAMES = ("mu", "phi", "omega", "a", "b_coef")
 
 
@@ -344,16 +343,14 @@ def _neg_loglik(z, work: _Likelihood) -> tuple:
 
 @dataclass(eq=False)
 class _SearchResult:
-    """End of a `minimize` search: the point x, its objective fun and gradient
-    jac, the objective evaluations nfev, how the search stopped, and its last
-    inverse Hessian hinv."""
+    """End of a `minimize` search: the point x, its objective fun, the
+    objective evaluations nfev, whether it converged (`minimize` lists the
+    stop rules), and its last inverse Hessian hinv."""
 
     x: np.ndarray
     fun: float
-    jac: np.ndarray
     nfev: int
     success: bool
-    line_search_failed: bool
     hinv: np.ndarray
 
 
@@ -377,7 +374,7 @@ def _direction(hinv, z, g) -> np.ndarray:
     return p
 
 
-def minimize(fun, z0, args=(), maxiter=15000, hinv0=None) -> _SearchResult:
+def minimize(fun, z0, args=(), hinv0=None) -> _SearchResult:
     """Minimize fun(z, *args) -> (value, gradient) by BFGS subject to z[3] <= _Z3_MAX.
 
     The inverse-Hessian update of Nocedal & Wright (2006, Algorithm 6.1).
@@ -393,14 +390,14 @@ def minimize(fun, z0, args=(), maxiter=15000, hinv0=None) -> _SearchResult:
     would cross it is cut at it, and while the search sits on it the step
     is taken as `_direction` says.
 
-    Success is a largest projected-gradient entry of at most 1e-5, or a
-    step that decreased the objective by at most 1e-15 relative (the
-    search has stalled at rounding level).  A line search that finds no
-    Armijo decrease in 20 evaluations ends the search at its last point
-    with `line_search_failed`; `maxiter` steps end it without success.
-    `nfev` counts every call of `fun`, and `hinv` is the inverse Hessian
-    the search ended with.  All small products run through einsum, not
-    BLAS, so a search takes the same steps on every CPU.
+    The search stops with `success` at a largest projected-gradient entry
+    of at most 1e-5, or after a step that decreased the objective by at
+    most 1e-15 relative (a stall at rounding level).  It stops without
+    `success`, at its last point, when a line search finds no Armijo
+    decrease in 20 evaluations or after `_MAX_STEPS` steps.  `nfev` counts
+    every call of `fun`, and `hinv` is the inverse Hessian the search
+    ended with.  All small products run through einsum, not BLAS, so a
+    search takes the same steps on every CPU.
     """
     z = np.array(z0, dtype=float)
     z[3] = min(z[3], _Z3_MAX)
@@ -409,9 +406,9 @@ def minimize(fun, z0, args=(), maxiter=15000, hinv0=None) -> _SearchResult:
     # fresh: the identity start, whose first step is scaled to unit length
     fresh = hinv0 is None
     hinv = np.eye(z.size) if fresh else np.array(hinv0, dtype=float)
-    for it in range(maxiter):
+    for it in range(_MAX_STEPS):
         if np.max(np.abs(_projected(z, g))) <= _GTOL:
-            return _SearchResult(z, f, g, nfev, True, False, hinv)
+            return _SearchResult(z, f, nfev, True, hinv)
         p = _direction(hinv, z, g)
         if it == 0 and not fresh and not _dot(g, p) < 0:  # the carried step does not descend
             fresh, hinv = True, np.eye(z.size)
@@ -434,12 +431,12 @@ def minimize(fun, z0, args=(), maxiter=15000, hinv0=None) -> _SearchResult:
             quad = -slope * step * step / (2.0 * (f_trial - f - slope * step))
             step = min(max(quad, 0.1 * step), 0.5 * step)
         else:
-            return _SearchResult(z, f, g, nfev, False, True, hinv)
+            return _SearchResult(z, f, nfev, False, hinv)
         s, y = trial - z, g_trial - g
         stalled = f - f_trial <= _FTOL * max(abs(f), abs(f_trial), 1.0)
         z, f, g = trial, f_trial, g_trial
         if stalled:
-            return _SearchResult(z, f, g, nfev, True, False, hinv)
+            return _SearchResult(z, f, nfev, True, hinv)
         sy = _dot(s, y)
         if sy > 0:
             if fresh:
@@ -449,39 +446,25 @@ def minimize(fun, z0, args=(), maxiter=15000, hinv0=None) -> _SearchResult:
             hys = hy[:, None] * s
             hinv = hinv - (hys + hys.T) / sy + ((_dot(y, hy) / sy + 1.0) / sy * s)[:, None] * s
         fresh = False
-    return _SearchResult(z, f, g, nfev, False, False, hinv)
-
-
-def _search(work, z0, hinv0=None) -> tuple:
-    """One `minimize` search from z0 (and hinv0): its result, and whether it converged.
-
-    A search converged if it reports `success`, or if its line search failed
-    with no entry of its projected gradient g above 5e-5 in absolute value.
-    g is the gradient of the negative loglik in the optimizer coordinates,
-    except that on the persistence bound an entry pointing past the bound
-    counts as 0.  The loglik is then within about |g|^2 / (2 lambda) of the
-    optimum, lambda the smallest Hessian eigenvalue in those coordinates: on
-    t(5) windows of 2,000 days lambda was 1.7 or more, so the gap is at most
-    4e-9.
-    """
-    res = minimize(_neg_loglik, z0, (work,), hinv0=hinv0)
-    return res, bool(res.success or (res.line_search_failed and np.max(
-        np.abs(_projected(res.x, res.jac))) <= _ABNORMAL_GTOL))
+    return _SearchResult(z, f, nfev, False, hinv)
 
 
 def fit_qmle(x, compute_se: bool = True,
              start: Union[ArGarchParams, FilteredSeries, None] = None) -> FilteredSeries:
     """Fit AR(1)-GARCH(1,1) by Gaussian QMLE.
 
-    BFGS search (`minimize`, judged by `_search`) on the exact score over a
-    reparameterized space enforcing omega > 0, a >= 0 and b_coef >= 0; the
-    persistence a + b_coef is bounded at 1 - 1e-6 by a box bound of the
-    search.  Without `start` it is multistarted from two fixed data-derived
-    points, one of high and one of low persistence (a cold fit).  With
-    `start` it runs one search from there (a warm fit), and falls back to
-    the cold starts, flagged "warm_start_failed", if that search does not
-    converge.  A fit that ends on the persistence bound is returned with a
-    "near_igarch" flag rather than rejected.
+    BFGS search (`minimize`) on the exact score over a reparameterized
+    space enforcing omega > 0, a >= 0 and b_coef >= 0; the persistence
+    a + b_coef is bounded at 1 - 1e-6 by a box bound of the search.  A
+    search converged if it reports `success`: a small projected gradient
+    or a stall.  One that ends in a failed line search or at the step
+    budget did not.  Without `start` the fit is multistarted from two
+    fixed data-derived points, one of high and one of low persistence (a
+    cold fit), and keeps the best converged search.  With `start` it runs
+    one search from there (a warm fit), and falls back to the cold starts,
+    flagged "warm_start_failed", if that search does not converge.  A fit
+    that ends on the persistence bound is returned with a "near_igarch"
+    flag rather than rejected.
 
     Parameters
     ----------
@@ -512,11 +495,12 @@ def fit_qmle(x, compute_se: bool = True,
     if isinstance(start, ArGarchParams):
         start = (_pack(start), None)
     work = _Likelihood(x)
-    searches = [] if start is None else [_search(work, *start)]
-    flags = () if all(ok for _, ok in searches) else ("warm_start_failed",)
+    searches = [] if start is None else [minimize(_neg_loglik, start[0], (work,),
+                                                  hinv0=start[1])]
+    flags = () if all(res.success for res in searches) else ("warm_start_failed",)
     if flags or not searches:
-        searches = [_search(work, _pack(p0)) for p0 in _starts(x)]
-    converged = [res for res, ok in searches if ok]
+        searches = [minimize(_neg_loglik, _pack(p0), (work,)) for p0 in _starts(x)]
+    converged = [res for res in searches if res.success]
     if not converged:
         raise ConvergenceError("QMLE search failed to converge from any start")
     best = min(converged, key=lambda r: r.fun)

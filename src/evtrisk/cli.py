@@ -87,22 +87,28 @@ def _emit(args, report: dict, plots: dict = None, series: dict = None) -> None:
     _dump_json(manifest, out_dir / f"{prefix}_manifest.json")
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """Parse an inclusive lo:hi:step integer grid specification."""
+def _parse_grid(text: str, n: int) -> np.ndarray:
+    """Parse an inclusive lo:hi:step integer grid specification whose points
+    are all below n, the length of the sample they index."""
     try:
         lo, hi, step = (int(part) for part in text.split(":"))
     except ValueError:
         raise ValueError(f"grid must be lo:hi:step, got {text!r}") from None
     if step < 1 or hi < lo:
         raise ValueError(f"grid must have step >= 1 and hi >= lo, got {text!r}")
+    if hi >= n:
+        raise ValueError(f"grid {text!r} must end below the sample length n={n}")
     return np.arange(lo, hi + 1, step)
 
 
 def _parse_methods(text: str) -> tuple:
+    """Comma-separated distinct quantile methods, at least one."""
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"methods must be one or more distinct names, got {text!r}")
     return methods
 
 
@@ -134,6 +140,7 @@ def _boot_spec(args, level: float) -> BootstrapSpec:
 def _cmd_tail(args) -> None:
     r = load_returns(args.input)
     x = r.values
+    k_grid = _parse_grid(args.k_grid, len(x)) if args.k_grid else None
     estimate = TAIL_ESTIMATORS[args.method]
 
     fit = estimate(x, args.k_alpha, args.rho)
@@ -154,9 +161,8 @@ def _cmd_tail(args) -> None:
                        "quantile": weissman_quantile(x, args.p, k, fit).value})
 
     plots = {}
-    if args.k_grid:
-        trace = tail_index_trace(x, _parse_grid(args.k_grid), method=args.method,
-                                 rho=args.rho)
+    if k_grid is not None:
+        trace = tail_index_trace(x, k_grid, method=args.method, rho=args.rho)
         rows = [(f.k_alpha, f.alpha, f.gamma) for f in trace]
         plots["trace"] = (["k", "alpha", "gamma"], rows)
     _emit(args, report, plots)
@@ -167,10 +173,10 @@ def _cmd_theta(args) -> None:
         raise ValueError("one of --block-size or --block-grid is required")
     r = load_returns(args.input)
     x = r.values
+    grid = _parse_grid(args.block_grid, len(x)) if args.block_grid else [args.block_size]
     method = {"lik": "exp_likelihood", "boot": "block_bootstrap"}[args.ci]
     spec = _boot_spec(args, args.level) if args.ci == "boot" else None
 
-    grid = _parse_grid(args.block_grid) if args.block_grid else [args.block_size]
     fits = theta_sweep(x, grid, level=args.level, method=method, boot_spec=spec)
     if not fits:
         where = "every grid block size" if args.block_grid else f"block size {args.block_size}"
@@ -295,6 +301,9 @@ def _cmd_backtest_cond(args) -> None:
 def _cmd_chi(args) -> None:
     path_a, path_b = args.pair
     pair = align_pairs(load_returns(path_a), load_returns(path_b))
+    # the residuals lose the first date to the AR lag
+    n = len(pair) - 1 if args.residuals else len(pair)
+    k_grid = _parse_grid(args.k_grid, n) if args.k_grid else None
     if args.residuals:
         pair = residual_pair(pair)
     x, y = pair.values_a, pair.values_b
@@ -303,9 +312,8 @@ def _cmd_chi(args) -> None:
               "residuals": bool(args.residuals)}
     plots = {}
     spec = _boot_spec(args, args.ci_level) if args.ci else None
-    if args.k_grid:
-        grid = _parse_grid(args.k_grid)
-        fits = chi_trace(x, y, grid, boot_spec=spec)
+    if k_grid is not None:
+        fits = chi_trace(x, y, k_grid, boot_spec=spec)
         rows = [(f.k, f.chi, f.ci[0] if f.ci else "", f.ci[1] if f.ci else "")
                 for f in fits]
         plots["trace"] = (["k", "chi", "lo", "hi"], rows)

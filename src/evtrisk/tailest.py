@@ -67,12 +67,13 @@ class QuantileEstimate:
 
 
 def _top_order_stats(x, k: int) -> tuple[np.ndarray, float]:
-    """Top k order statistics (unsorted) and the (k+1)-th largest value."""
+    """Top k order statistics and the (k+1)-th largest value; the top k are
+    sorted, so a sum over them does not depend on the order of the sample."""
     n = len(x)
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
     part = np.partition(_finite_floats(x, "tail sample"), n - k - 1)
-    return part[n - k:], float(part[n - k - 1])
+    return np.sort(part[n - k:]), float(part[n - k - 1])
 
 
 def pareto_qq_points(x, k: int) -> np.ndarray:
@@ -82,8 +83,7 @@ def pareto_qq_points(x, k: int) -> np.ndarray:
     v_i = log X_(n-i+1), i = 1..k.  A straight line of slope gamma indicates
     a power-law tail with index alpha = 1/gamma.
     """
-    top, _ = _top_order_stats(x, k)
-    top = np.sort(top)[::-1]  # X_(n), X_(n-1), ..., X_(n-k+1)
+    top = _top_order_stats(x, k)[0][::-1]  # X_(n), X_(n-1), ..., X_(n-k+1)
     if top[-1] <= 0:
         raise EstimationError(f"top {k} order statistics must be positive for the log plot")
     i = np.arange(1, k + 1)

@@ -465,6 +465,16 @@ def test_search_from_a_carried_inverse_hessian_that_does_not_descend_starts_afre
     assert again.success and again.nfev <= 2
 
 
+def test_search_whose_line_search_fails_ends_unconverged_where_it_started():
+    # the reported gradient points uphill, so no step along it decreases z.z:
+    # the line search spends its evaluations and the search stops at z0
+    z0 = np.array([0.5, -0.2, 0.1, 0.3, 0.4])
+    res = minimize(lambda z: (_dot(z, z), -2.0 * z), z0)
+    assert not res.success
+    assert res.nfev == 1 + argarch._LINE_EVALS == 21
+    assert res.x.tolist() == z0.tolist() and res.fun == _dot(z0, z0)
+
+
 def test_symmetric_inverse_matches_the_lapack_inverse():
     x = ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0)
     params = ev.fit_qmle(x, compute_se=False).params

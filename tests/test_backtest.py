@@ -359,85 +359,29 @@ def test_failed_warm_search_falls_back_to_the_cold_fit(monkeypatch):
     assert fit.flags == cold.flags + ("warm_start_failed",)
 
 
-def _abnormal_first_search(monkeypatch, maxiter=None):
-    """Make the first search of argarch.minimize end in a failed line
-    search, after at most maxiter iterations if given."""
+def test_warm_search_that_uses_up_its_steps_falls_back_to_the_cold_fit(monkeypatch):
+    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
+                       innovation="student_t", df=5.0)
+    cold = ev.fit_qmle(x, compute_se=False)
+    far, full_budget = ev.ArGarchParams(0.0, 0.0, 0.5, 0.3, 0.3), argarch._MAX_STEPS
+    monkeypatch.setattr(argarch, "_MAX_STEPS", 2)
+    short = argarch.minimize(argarch._neg_loglik, argarch._pack(far), (argarch._Likelihood(x),))
+    assert not short.success and short.nfev >= 3
+    # the same budget for the warm search only: the cold starts get the full one
     real_minimize, searches = argarch.minimize, []
 
     def wrapped(*args, **kwargs):
-        if not searches and maxiter:
-            kwargs["maxiter"] = maxiter
-        res = real_minimize(*args, **kwargs)
-        if not searches:
-            res.success, res.line_search_failed = False, True
-        searches.append(res)
-        return res
+        monkeypatch.setattr(argarch, "_MAX_STEPS", 2 if not searches else full_budget)
+        searches.append(real_minimize(*args, **kwargs))
+        return searches[-1]
 
     monkeypatch.setattr(argarch, "minimize", wrapped)
-    return searches
-
-
-def test_abnormal_warm_stop_at_the_optimum_is_kept(monkeypatch):
-    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
-                       innovation="student_t", df=5.0)
-    cold = ev.fit_qmle(x, compute_se=False)
-    searches = _abnormal_first_search(monkeypatch)
-    fit = ev.fit_qmle(x, compute_se=False, start=cold.params)
-    assert len(searches) == 1
-    assert fit.flags == cold.flags
-    assert fit.loglik >= cold.loglik - 1e-8
-
-
-def test_abnormal_warm_stop_on_the_persistence_bound_is_kept(monkeypatch):
-    # the t5-seed21 series of test_argarch's FROZEN_FITS: its warm search ends
-    # on the bound with the persistence entry of the gradient at -6.1e-4,
-    # which points past the bound and so counts as 0
-    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 2000, 21,
-                       innovation="student_t", df=5.0)
-    cold = ev.fit_qmle(x, compute_se=False)
-    searches = _abnormal_first_search(monkeypatch)
-    fit = ev.fit_qmle(x, compute_se=False, start=cold.params)
-    warm = searches[0]
-    assert warm.x[3] >= argarch._Z3_MAX and warm.jac[3] < -argarch._ABNORMAL_GTOL
-    assert len(searches) == 1
-    assert fit.flags == ("near_igarch",)
-    assert fit.loglik >= cold.loglik - 1e-8
-
-
-def test_abnormal_warm_stop_far_from_the_optimum_falls_back(monkeypatch):
-    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
-                       innovation="student_t", df=5.0)
-    cold = ev.fit_qmle(x, compute_se=False)
-    searches = _abnormal_first_search(monkeypatch, maxiter=1)
-    far = ev.ArGarchParams(0.0, 0.0, 0.5, 0.3, 0.3)
     fit = ev.fit_qmle(x, compute_se=False, start=far)
-    assert np.max(np.abs(searches[0].jac)) > argarch._ABNORMAL_GTOL
+    assert searches[0].x.tolist() == short.x.tolist() and not searches[0].success
     assert len(searches) == 1 + len(argarch._starts(x))
-    assert fit.params == cold.params
-    assert fit.flags == cold.flags + ("warm_start_failed",)
-
-
-def test_abnormal_cold_stops_at_the_optimum_are_kept(monkeypatch):
-    # the cold searches of this series all succeed; reported as failed line
-    # searches at the same end points they pass the one convergence rule of
-    # every search
-    x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
-                       innovation="student_t", df=5.0)
-    cold = ev.fit_qmle(x, compute_se=False)
-    real_minimize, searches = argarch.minimize, []
-
-    def wrapped(*args, **kwargs):
-        res = real_minimize(*args, **kwargs)
-        assert res.success
-        res.success, res.line_search_failed = False, True
-        searches.append(res)
-        return res
-
-    monkeypatch.setattr(argarch, "minimize", wrapped)
-    fit = ev.fit_qmle(x, compute_se=False)
-    assert len(searches) == len(argarch._starts(x))
+    assert all(res.success for res in searches[1:])
     assert fit.params == cold.params and fit.loglik == cold.loglik
-    assert fit.flags == cold.flags == ()
+    assert fit.flags == cold.flags + ("warm_start_failed",)
 
 
 def test_searches_report_every_objective_evaluation(monkeypatch):

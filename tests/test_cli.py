@@ -121,9 +121,23 @@ def test_domain_error_exits_1(pareto_csv, tmp_path, capsys):
     (["theta", "--block-size", 100, "--ci", "boot", "--boot-mean-block", "inf"],
      "mean_block must be finite and >= 1, got inf"),
     (["tail", "--k-alpha", 100, "--ci", "--boot-seed", -1], "seed must be >= 0, got -1"),
+    (["tail", "--k-alpha", 100, "--k-grid", "25:3000:25"],
+     "grid '25:3000:25' must end below the sample length n=3000"),
+    (["theta", "--block-grid", "2000:3000:1000"],
+     "grid '2000:3000:1000' must end below the sample length n=3000"),
+    (["backtest-uncond", "--methods", ","],
+     "methods must be one or more distinct names, got ','"),
+    (["backtest-cond", "--methods", ","],
+     "methods must be one or more distinct names, got ','"),
+    (["backtest-uncond", "--methods", "hill,hill"],
+     "methods must be one or more distinct names, got 'hill,hill'"),
+    (["backtest-cond", "--methods", "hill, hill"],
+     "methods must be one or more distinct names, got 'hill, hill'"),
 ], ids=["grid-descending", "grid-not-integers", "unknown-method", "weekday-missing",
         "gap-days-missing", "uncond-step-0", "cond-step-0", "uncond-window-0",
-        "uncond-level-1.5", "cond-level-1.5", "boot-mean-block-inf", "boot-seed-negative"])
+        "uncond-level-1.5", "cond-level-1.5", "boot-mean-block-inf", "boot-seed-negative",
+        "tail-grid-past-n", "theta-grid-past-n", "uncond-methods-empty", "cond-methods-empty",
+        "uncond-methods-repeated", "cond-methods-repeated"])
 def test_bad_option_value_exits_1_with_one_error_line(pareto_csv, tmp_path, capsys,
                                                       monkeypatch, argv, message):
     real_roll, rolls = cli.roll_conditional, []
@@ -138,8 +152,40 @@ def test_bad_option_value_exits_1_with_one_error_line(pareto_csv, tmp_path, caps
     assert code == 1
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
-    if "--level" in argv:  # refused before the roll
+    if "--level" in argv or "--methods" in argv:  # refused before the roll
         assert rolls == []
+
+
+def test_chi_grid_past_the_residual_length_is_refused_before_the_fits(
+        argarch_csv, tmp_path, capsys, monkeypatch):
+    # 1,200 aligned dates leave 1,199 residuals, so k = 1,199 is past the end
+    fits = []
+    monkeypatch.setattr(cli, "residual_pair", fits.append)
+    code = _run("chi", "--pair", argarch_csv, argarch_csv, "--k", 60, "--residuals",
+                "--k-grid", "1000:1199:199", "--out-dir", tmp_path / "o")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: grid '1000:1199:199' must end below the sample length n=1199\n")
+    assert fits == [] and not (tmp_path / "o").exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_huge_grid_is_refused_before_it_is_built(pareto_csv, tmp_path):
+    # 1e12 grid points would take 7.3 TiB; the child caps its own address
+    # space at 3 GiB, so an attempt to build the grid fails at once
+    script = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+              "from evtrisk.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, "tail", "--input", str(pareto_csv),
+                           "--k-alpha", "100", "--k-grid", "25:1000000000000:1",
+                           "--out-dir", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (
+        "error: grid '25:1000000000000:1' must end below the sample length n=3000\n")
 
 
 def test_sim_is_byte_identical_across_runs(tmp_path):

@@ -27,6 +27,23 @@ def test_hill_ignores_input_order():
     assert ev.hill(x, 50).gamma == ev.hill(shuffled, 50).gamma
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_tail_estimates_do_not_depend_on_the_sample_order(seed):
+    # a heavy t(3) sample with k large enough that the sums over the top k
+    # would change their last bits with the order np.partition leaves
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(3, 5000)
+
+    def estimates(v):
+        fit = ev.hill(v, 250)
+        return (fit.gamma, ev.hill_corrected(v, 250).gamma,
+                ev.weissman_quantile(v, 0.999, 250, fit).value)
+
+    want = estimates(x)
+    for _ in range(5):
+        assert estimates(rng.permutation(x)) == want
+
+
 def test_hill_k_bounds():
     with pytest.raises(ValueError):
         ev.hill(SAMPLE, 0)
@@ -133,6 +150,14 @@ def test_tail_index_trace_spans_grid():
     trace = ev.tail_index_trace(x, range(10, 200, 10))
     assert len(trace) == 19
     assert all(f.k_alpha == k for f, k in zip(trace, range(10, 200, 10)))
+
+
+def test_tail_index_trace_skips_grid_points_where_the_estimator_is_undefined():
+    # 20 positive values over negative ones: from k = 20 on, the Hill
+    # threshold X_(n-k) is not positive
+    x = np.concatenate([ev.sim_pareto(2.0, 20, 13), -np.arange(1.0, 81.0)])
+    trace = ev.tail_index_trace(x, range(5, 40, 5))
+    assert [f.k_alpha for f in trace] == [5, 10, 15]
 
 
 def test_weissman_overflow_is_an_estimation_error():
