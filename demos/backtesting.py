@@ -17,8 +17,8 @@ PARAMS = ev.ArGarchParams(mu=-0.05, phi=0.066, omega=0.011, a=0.099, b_coef=0.89
 
 def report(label: str, e: ev.ExceedanceSeries) -> None:
     r = ev.cc_test(e)
-    print(f"  {label}: {r.n1}/{r.n} exceedances "
-          f"(expected {0.01 * r.n:.1f})")
+    print(f"  {label}: {e.n1}/{e.n} exceedances "
+          f"(expected {0.01 * e.n:.1f})")
     print(f"    UC  lr = {r.lr_uc:6.3f}  p = {r.p_uc:.3f}")
     print(f"    IND lr = {r.lr_ind:6.3f}  p = {r.p_ind:.3f}")
     print(f"    CC  lr = {r.lr_cc:6.3f}  p = {r.p_cc:.3f}")

@@ -37,7 +37,7 @@ def main() -> None:
     print(f"  empirical:              {emp:.3f}")
     for name, fit in [("Hill", fit_h), ("corrected", fit_c)]:
         q = ev.weissman_quantile(x, 0.99, 250, fit)
-        print(f"  Weissman under {name:9s} {q.value:.3f}")
+        print(f"  Weissman under {name:9s} {q:.3f}")
     print(f"  exact Pareto quantile:  {(1 - 0.99) ** (-1 / ALPHA_TRUE):.3f}")
 
 

@@ -98,8 +98,6 @@ class BacktestReport:
     p_uc: float
     p_ind: float
     p_cc: float
-    n: int
-    n1: int
 
 
 def exceedances(realized, forecasts, p: float) -> ExceedanceSeries:
@@ -163,16 +161,13 @@ def cc_test(e: ExceedanceSeries) -> BacktestReport:
     lr_ind, p_ind = ind_test(e)
     lr_cc = lr_uc + lr_ind
     return BacktestReport(lr_uc=lr_uc, lr_ind=lr_ind, lr_cc=lr_cc,
-                          p_uc=p_uc, p_ind=p_ind, p_cc=float(chdtrc(2, lr_cc)),
-                          n=e.n, n1=e.n1)
+                          p_uc=p_uc, p_ind=p_ind, p_cc=float(chdtrc(2, lr_cc)))
 
 
 @dataclass(frozen=True)
 class SlidingBacktestSummary:
     """Coverage-test results aggregated over daily-stepped test windows."""
 
-    test_len: int
-    level: float
     placements: int
     mean_count: float
     max_count: int
@@ -221,8 +216,6 @@ def sliding_backtest(e: ExceedanceSeries, test_len: int,
     crit1 = 2.0 * gammaincinv(0.5, 1.0 - level)
     crit2 = 2.0 * gammaincinv(1.0, 1.0 - level)
     return SlidingBacktestSummary(
-        test_len=test_len,
-        level=level,
         placements=int(n1.size),
         mean_count=float(np.mean(n1)),
         max_count=int(np.max(n1)),
@@ -246,7 +239,7 @@ def method_quantile(x, p: float, method: str) -> float:
         fit = TAIL_ESTIMATORS[method](x, _K_ALPHA[method], -1.0)
     except NegativeGammaError:
         fit = hill(x, _K_ALPHA[method])
-    return weissman_quantile(x, p, K_WEISSMAN, fit).value
+    return weissman_quantile(x, p, K_WEISSMAN, fit)
 
 
 def _window_quantile(x, p: float, method: str, window: int) -> float:
@@ -278,9 +271,6 @@ class UncondRollResult:
     starting at index `window` of the input.
     """
 
-    window: int
-    step: int
-    p: float
     starts: np.ndarray
     forecasts: dict
     counts: dict
@@ -326,8 +316,7 @@ def roll_unconditional(r, window: int = 2000, step: int = 250, p: float = 0.99,
     for m in methods:
         fc = np.repeat(forecasts[m], step)
         daily[m] = exceedances(x[window:window + fc.size], fc, p_exc)
-    return UncondRollResult(window=window, step=step, p=p, starts=starts,
-                            forecasts=forecasts, counts=counts, daily=daily)
+    return UncondRollResult(starts, forecasts, counts, daily)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,9 +330,6 @@ class CondRollResult:
     fit that fell back to the cold starts.
     """
 
-    window: int
-    step: int
-    p: float
     days: np.ndarray
     forecasts: dict
     exceedances: dict
@@ -407,7 +393,6 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
     realized = x[days]
     p_exc = 1.0 - p
     exc = {m: exceedances(realized, forecasts[m], p_exc) for m in methods}
-    return CondRollResult(window=window, step=step, p=p, days=days,
-                          forecasts=forecasts, exceedances=exc,
+    return CondRollResult(days=days, forecasts=forecasts, exceedances=exc,
                           refit_failures=np.asarray(failures, dtype=np.int64),
                           cold_days=np.asarray(cold, dtype=np.int64))

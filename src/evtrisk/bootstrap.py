@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, EvtriskError
+from .errors import EstimationError, EvtriskError, _check_integer
 
 __all__ = ["BootstrapSpec", "resample_indices", "percentile_ci"]
 
@@ -29,10 +29,8 @@ class BootstrapSpec:
     level: float = 0.90
 
     def __post_init__(self):
-        for name in ("replicates", "seed"):  # a float seed would be truncated silently
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integer(self.replicates, "replicates")
+        _check_integer(self.seed, "seed")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not 1 <= self.mean_block < np.inf:

@@ -94,8 +94,8 @@ def _parse_grid(text: str, n: int) -> np.ndarray:
         lo, hi, step = (int(part) for part in text.split(":"))
     except ValueError:
         raise ValueError(f"grid must be lo:hi:step, got {text!r}") from None
-    if step < 1 or hi < lo:
-        raise ValueError(f"grid must have step >= 1 and hi >= lo, got {text!r}")
+    if step < 1 or hi < lo or lo < 1:
+        raise ValueError(f"grid must have step >= 1 and hi >= lo >= 1, got {text!r}")
     if hi >= n:
         raise ValueError(f"grid {text!r} must end below the sample length n={n}")
     return np.arange(lo, hi + 1, step)
@@ -122,11 +122,23 @@ def _parse_test_lens(text: str) -> tuple:
     return test_lens
 
 
+# the two checks below refuse an option before any fit, in the words of the
+# library's own checks of the same value
+def _check_unit(name: str, value: float) -> None:
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+
+
 def _backtest_options(args) -> tuple:
     """The methods and test lengths of a backtest command, checked with its
-    --level before the input is loaded or any window estimated."""
-    if not 0 < args.level < 1:
-        raise ValueError(f"level must be in (0, 1), got {args.level}")
+    --p and --level before the input is loaded or any window estimated."""
+    _check_unit("p", args.p)
+    _check_unit("level", args.level)
     return _parse_methods(args.methods), _parse_test_lens(args.test_len)
 
 
@@ -141,6 +153,11 @@ def _cmd_tail(args) -> None:
     r = load_returns(args.input)
     x = r.values
     k_grid = _parse_grid(args.k_grid, len(x)) if args.k_grid else None
+    spec = _boot_spec(args, args.ci_level) if args.ci else None
+    k = args.k if args.k is not None else args.k_alpha
+    if args.p is not None:
+        _check_unit("p", args.p)
+        _check_k(k, len(x))
     estimate = TAIL_ESTIMATORS[args.method]
 
     fit = estimate(x, args.k_alpha, args.rho)
@@ -150,15 +167,13 @@ def _cmd_tail(args) -> None:
         report["rho"] = args.rho
 
     if args.ci:
-        spec = _boot_spec(args, args.ci_level)
         lo, hi, _ = percentile_ci(
             x, lambda xs: estimate(xs, args.k_alpha, args.rho).alpha, spec)
         report["alpha_ci"] = {"lower": lo, "upper": hi, "level": spec.level}
 
     if args.p is not None:
-        k = args.k if args.k is not None else args.k_alpha
         report.update({"p": args.p, "k": k,
-                       "quantile": weissman_quantile(x, args.p, k, fit).value})
+                       "quantile": weissman_quantile(x, args.p, k, fit)})
 
     plots = {}
     if k_grid is not None:
@@ -174,6 +189,7 @@ def _cmd_theta(args) -> None:
     r = load_returns(args.input)
     x = r.values
     grid = _parse_grid(args.block_grid, len(x)) if args.block_grid else [args.block_size]
+    _check_unit("level", args.level)
     method = {"lik": "exp_likelihood", "boot": "block_bootstrap"}[args.ci]
     spec = _boot_spec(args, args.level) if args.ci == "boot" else None
 
@@ -187,7 +203,7 @@ def _cmd_theta(args) -> None:
         plots["trace"] = (["b", "theta", "lo", "hi"], rows)
     pick = min(fits, key=lambda f: abs(f.block_size - args.block_size)) \
         if args.block_size else fits[-1]
-    report = {"input": args.input, "n": pick.n, "theta": pick.theta,
+    report = {"input": args.input, "n": len(x), "theta": pick.theta,
               "theta_raw": pick.theta_raw, "b": pick.block_size,
               "ci": {"lower": pick.ci[0], "upper": pick.ci[1], "level": args.level}}
     _emit(args, report, plots)
@@ -216,6 +232,8 @@ def _cmd_decluster(args) -> None:
 
 
 def _cmd_garch(args) -> None:
+    if args.forecast:
+        _check_unit("p", args.p)
     r = load_returns(args.input)
     fitted = fit_qmle(r.values)
     p = fitted.params
@@ -303,7 +321,9 @@ def _cmd_chi(args) -> None:
     pair = align_pairs(load_returns(path_a), load_returns(path_b))
     # the residuals lose the first date to the AR lag
     n = len(pair) - 1 if args.residuals else len(pair)
+    _check_k(args.k, n)
     k_grid = _parse_grid(args.k_grid, n) if args.k_grid else None
+    spec = _boot_spec(args, args.ci_level) if args.ci else None
     if args.residuals:
         pair = residual_pair(pair)
     x, y = pair.values_a, pair.values_b
@@ -311,7 +331,6 @@ def _cmd_chi(args) -> None:
     report = {"pair": [path_a, path_b], "n": len(pair),
               "residuals": bool(args.residuals)}
     plots = {}
-    spec = _boot_spec(args, args.ci_level) if args.ci else None
     if k_grid is not None:
         fits = chi_trace(x, y, k_grid, boot_spec=spec)
         rows = [(f.k, f.chi, f.ci[0] if f.ci else "", f.ci[1] if f.ci else "")
@@ -498,7 +517,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (EvtriskError, ValueError, OSError) as err:
+    except (EvtriskError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, _finite_floats
+from .errors import DataError, _check_integer, _finite_floats
 from .ingest import ReturnSeries
 
 __all__ = [
@@ -31,13 +31,18 @@ WEEKDAY_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 
 
 def _weekday_number(weekday) -> int:
-    try:
+    """0..6 from an int, a numeric string or a name; a bool or float is refused."""
+    if isinstance(weekday, str):
+        try:
+            day = int(weekday)
+        except ValueError:
+            key = weekday.strip().lower()[:3]
+            if key not in WEEKDAY_NAMES:
+                raise ValueError(f"unknown weekday {weekday!r}") from None
+            return WEEKDAY_NAMES.index(key)
+    else:
+        _check_integer(weekday, "weekday")
         day = int(weekday)
-    except (TypeError, ValueError):
-        key = str(weekday).strip().lower()[:3]
-        if key not in WEEKDAY_NAMES:
-            raise ValueError(f"unknown weekday {weekday!r}") from None
-        return WEEKDAY_NAMES.index(key)
     if not 0 <= day <= 6:
         raise ValueError(f"weekday number must be 0 (Mon) .. 6 (Sun), got {day}")
     return day
@@ -46,7 +51,8 @@ def _weekday_number(weekday) -> int:
 def weekday_subsample(r: ReturnSeries, weekday) -> ReturnSeries:
     """Observations whose date falls on the given weekday, order preserved.
 
-    `weekday` is 0..6 (Monday = 0) or a name like "Wed".
+    `weekday` is an integer 0..6 (Monday = 0), a numeric string like "2",
+    or a name like "Wed".
     """
     day = _weekday_number(weekday)
     index = np.flatnonzero(r.weekdays() == day)
@@ -80,8 +86,10 @@ def rank_gap_keep_mask(values, gap_days: int, day_index=None) -> np.ndarray:
     trading-day index).  The positive pass visits values > 0 in descending
     order, the negative pass values < 0 in ascending order; ties visit the
     earlier day first.  The passes are independent and a day survives only
-    if removed by neither.  NaN or inf in `values` is a DataError.
+    if removed by neither.  NaN or inf in `values` is a DataError, and a
+    `gap_days` that is a bool or a float is a ValueError.
     """
+    _check_integer(gap_days, "gap_days")
     if gap_days < 1:
         raise ValueError(f"gap_days must be >= 1, got {gap_days}")
     v = _finite_floats(values, "declustering sample")

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and its one input guard."""
+"""Exception hierarchy shared across the package, and its input guards."""
 
 import numpy as np
 
@@ -36,3 +36,10 @@ def _finite_floats(x, what: str) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DataError(f"non-finite value in {what}")
     return x
+
+
+def _check_integer(value, name: str) -> None:
+    """A count or seed must be an int or NumPy integer: a float would be
+    truncated and a bool read as 0 or 1 silently, so either is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")

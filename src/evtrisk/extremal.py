@@ -51,7 +51,6 @@ class ExtremalIndexFit:
 
     theta: float
     block_size: int
-    n: int
     pseudo_obs_count: int
     theta_raw: float
     ci: Optional[tuple] = None  # (lower, upper, level)
@@ -130,7 +129,7 @@ def _fit_on_ranks(ranks: np.ndarray, b: int) -> ExtremalIndexFit:
             f"all {n - b} block maxima sit at the sample maximum; "
             "extremal index degenerate at this block size")
     theta_raw = 1.0 / mean_y
-    return ExtremalIndexFit(theta=min(theta_raw, 1.0), block_size=b, n=n,
+    return ExtremalIndexFit(theta=min(theta_raw, 1.0), block_size=b,
                             pseudo_obs_count=n - b, theta_raw=theta_raw)
 
 

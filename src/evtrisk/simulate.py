@@ -89,4 +89,4 @@ def sim_duplicated(base_sampler, m: int, n: int, seed) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     base = np.asarray(base_sampler(-(-n // m), seed), dtype=float)
-    return np.repeat(base, m)[:n]
+    return base[np.arange(n) // m]

@@ -38,7 +38,6 @@ class TailDepFit:
 
     chi: float
     k: int
-    n: int
     ci: Optional[tuple] = None  # (lower, upper, level)
 
 
@@ -60,7 +59,7 @@ def chi_hat(x, y, k: int) -> TailDepFit:
     """
     x, y = _check_pair(x, y, k)
     joint = np.count_nonzero(_top_k_mask(x, k) & _top_k_mask(y, k))
-    return TailDepFit(chi=float(min(max(joint / k, 0.0), 1.0)), k=k, n=x.size)
+    return TailDepFit(chi=float(min(max(joint / k, 0.0), 1.0)), k=k)
 
 
 def _top_k_mask(v, k: int) -> np.ndarray:
@@ -93,7 +92,7 @@ def chi_trace(x, y, k_grid, boot_spec: Optional[BootstrapSpec] = None) -> list:
             out.append(chi_hat(x, y, k))
         else:  # chi_ci computes the point estimate as well
             lo, hi, point = chi_ci(x, y, k, boot_spec)
-            out.append(TailDepFit(point, k, len(x), ci=(lo, hi, boot_spec.level)))
+            out.append(TailDepFit(point, k, ci=(lo, hi, boot_spec.level)))
     return out
 
 

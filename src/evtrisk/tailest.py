@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .errors import EstimationError, NegativeGammaError, _finite_floats
 
 __all__ = [
     "TailFit",
-    "QuantileEstimate",
     "pareto_qq_points",
     "qq_slope_alpha",
     "hill",
@@ -43,9 +41,6 @@ class TailFit:
 
     gamma: float
     k_alpha: int
-    method: str
-    n: int
-    rho: Optional[float] = None
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -54,16 +49,6 @@ class TailFit:
     @property
     def alpha(self) -> float:
         return 1.0 / self.gamma
-
-
-@dataclass(frozen=True)
-class QuantileEstimate:
-    """A high quantile F^{-1}(p) extrapolated from the top k order statistics."""
-
-    p: float
-    value: float
-    k: int
-    tail_fit: TailFit
 
 
 def _top_order_stats(x, k: int) -> tuple[np.ndarray, float]:
@@ -103,7 +88,7 @@ def qq_slope_alpha(points) -> TailFit:
     slope, _ = np.polyfit(u, v, 1)
     if slope <= 0:
         raise EstimationError(f"nonpositive quantile-plot slope {slope:.4g}")
-    return TailFit(gamma=float(slope), k_alpha=len(pts), method="qq", n=len(pts))
+    return TailFit(gamma=float(slope), k_alpha=len(pts))
 
 
 def _log_excesses(x, k_alpha: int) -> tuple[np.ndarray, float]:
@@ -123,7 +108,7 @@ def _log_excesses(x, k_alpha: int) -> tuple[np.ndarray, float]:
 def hill(x, k_alpha: int) -> TailFit:
     """Hill estimator of the extreme value index from the top k_alpha log-excesses."""
     _, m1 = _log_excesses(x, k_alpha)
-    return TailFit(gamma=m1, k_alpha=k_alpha, method="hill", n=len(x))
+    return TailFit(gamma=m1, k_alpha=k_alpha)
 
 
 def hill_corrected(x, k_alpha: int, rho: float = -1.0) -> TailFit:
@@ -148,10 +133,10 @@ def hill_corrected(x, k_alpha: int, rho: float = -1.0) -> TailFit:
     if gamma <= 0:
         raise NegativeGammaError(
             f"bias correction gave nonpositive index {gamma:.4g} at k={k_alpha}")
-    return TailFit(gamma=gamma, k_alpha=k_alpha, method="corrected", n=len(x), rho=rho)
+    return TailFit(gamma=gamma, k_alpha=k_alpha)
 
 
-def weissman_quantile(x, p: float, k: int, fit: TailFit) -> QuantileEstimate:
+def weissman_quantile(x, p: float, k: int, fit: TailFit) -> float:
     """Extrapolated quantile F^{-1}(p) = X_(n-k) * (k / (n(1-p)))^(1/alpha)."""
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
@@ -165,7 +150,7 @@ def weissman_quantile(x, p: float, k: int, fit: TailFit) -> QuantileEstimate:
         value = math.inf
     if value == math.inf:
         raise EstimationError(f"extrapolated quantile overflows at k={k}")
-    return QuantileEstimate(p=p, value=float(value), k=k, tail_fit=fit)
+    return float(value)
 
 
 def empirical_quantile(x, p: float) -> float:
@@ -180,10 +165,10 @@ def empirical_quantile(x, p: float) -> float:
     return float(np.partition(x, idx - 1)[idx - 1])
 
 
-# method name (as `tail --method` and the backtests take it, and as
-# TailFit.method records it) -> (x, k, rho) -> TailFit.  The entries call the
-# estimators through the module globals, so a wrapper installed on this
-# module (a profiler, a test double) sees every call made through the table.
+# method name (as `tail --method` and the backtests take it) -> (x, k, rho)
+# -> TailFit.  The entries call the estimators through the module globals, so
+# a wrapper installed on this module (a profiler, a test double) sees every
+# call made through the table.
 TAIL_ESTIMATORS = {
     "hill": lambda x, k, rho: hill(x, k),
     "corrected": lambda x, k, rho: hill_corrected(x, k, rho=rho),

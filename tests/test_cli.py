@@ -118,6 +118,8 @@ def test_domain_error_exits_1(pareto_csv, tmp_path, capsys):
     (["backtest-uncond", "--window", 0], "window and step must be >= 1"),
     (["backtest-uncond", "--level", 1.5, "--test-len", 250], "level must be in (0, 1)"),
     (["backtest-cond", "--level", 1.5], "level must be in (0, 1)"),
+    (["backtest-uncond", "--p", 1.5], "p must be in (0, 1), got 1.5"),
+    (["backtest-cond", "--p", 1.5], "p must be in (0, 1), got 1.5"),
     (["theta", "--block-size", 100, "--ci", "boot", "--boot-mean-block", "inf"],
      "mean_block must be finite and >= 1, got inf"),
     (["tail", "--k-alpha", 100, "--ci", "--boot-seed", -1], "seed must be >= 0, got -1"),
@@ -135,25 +137,61 @@ def test_domain_error_exits_1(pareto_csv, tmp_path, capsys):
      "methods must be one or more distinct names, got 'hill, hill'"),
 ], ids=["grid-descending", "grid-not-integers", "unknown-method", "weekday-missing",
         "gap-days-missing", "uncond-step-0", "cond-step-0", "uncond-window-0",
-        "uncond-level-1.5", "cond-level-1.5", "boot-mean-block-inf", "boot-seed-negative",
+        "uncond-level-1.5", "cond-level-1.5", "uncond-p-1.5", "cond-p-1.5",
+        "boot-mean-block-inf", "boot-seed-negative",
         "tail-grid-past-n", "theta-grid-past-n", "uncond-methods-empty", "cond-methods-empty",
         "uncond-methods-repeated", "cond-methods-repeated"])
 def test_bad_option_value_exits_1_with_one_error_line(pareto_csv, tmp_path, capsys,
                                                       monkeypatch, argv, message):
-    real_roll, rolls = cli.roll_conditional, []
-
-    def spy(*args, **kwargs):
-        rolls.append(args)
-        return real_roll(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "roll_conditional", spy)
+    rolls = []
+    for name in ("roll_conditional", "roll_unconditional"):
+        monkeypatch.setattr(cli, name, _spy(getattr(cli, name), rolls))
     code = _run(*argv, "--input", pareto_csv, "--out-dir", tmp_path / "o")
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
-    if "--level" in argv or "--methods" in argv:  # refused before the roll
+    if {"--level", "--methods", "--p"} & set(argv):  # refused before the roll
         assert rolls == []
+
+
+def _spy(func, calls):
+    """func, recording each call in calls."""
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+    return spy
+
+
+# 1,200 aligned dates of argarch_csv leave 1,199 residuals
+@pytest.mark.parametrize("command, argv, fit, message", [
+    ("chi", ["--k", 1199, "--residuals"], "residual_pair",
+     "k must satisfy 1 <= k < n, got k=1199, n=1199"),
+    ("chi", ["--k", 60, "--residuals", "--ci", "--ci-level", 1.5], "residual_pair",
+     "level must be in (0, 1), got 1.5"),
+    ("chi", ["--k", 60, "--residuals", "--ci", "--boot-reps", 0], "residual_pair",
+     "replicates must be >= 1, got 0"),
+    ("chi", ["--k", 60, "--residuals", "--k-grid", "0:100:10"], "residual_pair",
+     "grid must have step >= 1 and hi >= lo >= 1, got '0:100:10'"),
+    ("garch", ["--forecast", "--p", 1.5], "fit_qmle", "p must be in (0, 1), got 1.5"),
+    ("tail", ["--k-alpha", 100, "--ci", "--p", 1.5], "percentile_ci",
+     "p must be in (0, 1), got 1.5"),
+    ("tail", ["--k-alpha", 100, "--ci", "--p", 0.99, "--k", 1200], "percentile_ci",
+     "k must satisfy 1 <= k < n, got k=1200, n=1200"),
+    ("theta", ["--block-size", 100, "--level", 1.5], "theta_sweep",
+     "level must be in (0, 1), got 1.5"),
+], ids=["chi-k-past-residuals", "chi-ci-level-1.5", "chi-boot-reps-0", "chi-grid-from-0",
+        "garch-forecast-p-1.5", "tail-ci-p-1.5", "tail-ci-k-past-n", "theta-lik-level-1.5"])
+def test_option_checked_without_a_fit_is_refused_before_it(
+        argarch_csv, tmp_path, capsys, monkeypatch, command, argv, fit, message):
+    fits = []
+    monkeypatch.setattr(cli, fit, _spy(getattr(cli, fit), fits))
+    inputs = ["--pair", argarch_csv, argarch_csv] if command == "chi" else [
+        "--input", argarch_csv]
+    code = _run(command, *inputs, *argv, "--out-dir", tmp_path / "o")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert fits == [] and not (tmp_path / "o").exists()
 
 
 def test_chi_grid_past_the_residual_length_is_refused_before_the_fits(
@@ -169,23 +207,47 @@ def test_chi_grid_past_the_residual_length_is_refused_before_the_fits(
     assert fits == [] and not (tmp_path / "o").exists()
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
-def test_huge_grid_is_refused_before_it_is_built(pareto_csv, tmp_path):
-    # 1e12 grid points would take 7.3 TiB; the child caps its own address
-    # space at 3 GiB, so an attempt to build the grid fails at once
+def _run_capped(*argv):
+    """The CLI in a child process that caps its own address space at 3 GiB,
+    so a request for terabytes fails at once instead of taking the machine."""
     script = ("import resource, sys; "
               "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
               "from evtrisk.cli import main; sys.exit(main(sys.argv[1:]))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script, "tail", "--input", str(pareto_csv),
-                           "--k-alpha", "100", "--k-grid", "25:1000000000000:1",
-                           "--out-dir", str(tmp_path / "o")],
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+capped = pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+
+
+@capped
+def test_huge_grid_is_refused_before_it_is_built(pareto_csv, tmp_path):
+    # 1e12 grid points would take 7.3 TiB
+    proc = _run_capped("tail", "--input", pareto_csv, "--k-alpha", 100,
+                       "--k-grid", "25:1000000000000:1", "--out-dir", tmp_path / "o")
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == (
         "error: grid '25:1000000000000:1' must end below the sample length n=3000\n")
+
+
+@capped
+def test_sim_dup_with_a_huge_factor_needs_memory_for_n_values_only(tmp_path):
+    # one base draw repeated 1e12 times would take 7.3 TiB before the cut to n
+    proc = _run_capped("sim", "--model", "dup", "--m", 10 ** 12, "--n", 10,
+                       "--out", "dup.csv", "--out-dir", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "dup.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10 and len({row.split(",")[1] for row in rows}) == 1
+
+
+@capped
+def test_sim_past_the_memory_limit_exits_1_with_one_error_line(tmp_path):
+    proc = _run_capped("sim", "--model", "pareto", "--n", 10 ** 12, "--out-dir", tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_sim_is_byte_identical_across_runs(tmp_path):
@@ -270,7 +332,7 @@ def test_tail_methods_match_library_calls(pareto_csv, tmp_path, method, estimate
     x = ev.load_returns(pareto_csv).values
     fit = estimate(x, 150)
     assert report["alpha"] == fit.alpha
-    assert report["quantile"] == ev.weissman_quantile(x, 0.995, 120, fit).value
+    assert report["quantile"] == ev.weissman_quantile(x, 0.995, 120, fit)
     spec = ev.BootstrapSpec(replicates=49, mean_block=20.0, seed=0, level=0.90)
     lo, hi, _ = ev.percentile_ci(x, lambda xs: estimate(xs, 150).alpha, spec)
     assert report["alpha_ci"] == {"lower": lo, "upper": hi, "level": 0.90}

@@ -146,6 +146,27 @@ def test_gap_must_be_positive():
         ev.rank_gap_keep_mask([1.0, 2.0], 0)
 
 
+@pytest.mark.parametrize("value", [True, False, 2.7, 2.0, np.float64(2.0), None, [2]],
+                         ids=["true", "false", "2.7", "2.0", "np-2.0", "none", "list"])
+def test_a_bool_or_non_integer_day_count_is_refused_not_truncated(value):
+    r = _business_series(np.arange(1.0, 21.0))
+    with pytest.raises(ValueError):
+        ev.weekday_subsample(r, value)
+    with pytest.raises(ValueError):
+        ev.rank_gap_keep_mask(r.values, value)
+    with pytest.raises(ValueError):
+        ev.rank_gap_decluster(r, value)
+
+
+def test_integer_types_and_numeric_strings_are_taken():
+    r = _business_series(np.arange(1.0, 21.0))
+    wed = ev.weekday_subsample(r, 2).values
+    for day in (np.int64(2), np.int8(2), "2", " 2 ", "wed", "Wednesday"):
+        np.testing.assert_array_equal(ev.weekday_subsample(r, day).values, wed)
+    np.testing.assert_array_equal(ev.rank_gap_keep_mask(r.values, np.int32(3)),
+                                  ev.rank_gap_keep_mask(r.values, 3))
+
+
 def test_declustering_weakens_serial_dependence_in_extremes():
     x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894),
                        15_605, 0)

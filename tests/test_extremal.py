@@ -95,7 +95,7 @@ def test_estimate_equals_the_direct_oracle_bit_for_bit(b):
     for name, x in samples.items():
         fit = ev.extremal_index_sliding(x, b)
         assert (fit.theta, fit.theta_raw) == _oracle(x, b), name
-        assert (fit.n, fit.pseudo_obs_count, fit.block_size) == (3000, 3000 - b, b)
+        assert (fit.pseudo_obs_count, fit.block_size) == (3000 - b, b)
 
 
 def test_rank_invariance():

@@ -70,6 +70,53 @@ def test_root_exports_exactly_the_submodules_public_names():
     assert set(evtrisk.__all__) == declared
 
 
+PUBLIC_NAMES = [
+    "ArGarchParams", "BacktestReport", "BootstrapSpec", "CondRollResult",
+    "ConvergenceError", "DataError", "EstimationError", "EvtriskError",
+    "ExceedanceSeries", "ExtremalIndexFit", "FilteredSeries", "Forecast", "METHODS",
+    "NegativeGammaError", "PairedReturns", "ReturnSeries", "SlidingBacktestSummary",
+    "TAIL_ESTIMATORS", "TailDepFit", "TailFit", "UncondRollResult", "WEEKDAY_NAMES",
+    "__version__", "acf", "align_pairs", "block_maxima_sliding", "cc_test", "chi_ci",
+    "chi_hat", "chi_trace", "empirical_quantile", "exceedances",
+    "extremal_index_sliding", "filter_series", "fit_qmle", "forecast_next", "hill",
+    "hill_corrected", "ind_test", "load_returns", "method_quantile", "pareto_qq_points",
+    "percentile_ci", "qq_slope_alpha", "rank_gap_decluster", "rank_gap_keep_mask",
+    "resample_indices", "residual_pair", "roll_conditional", "roll_unconditional",
+    "sim_argarch", "sim_duplicated", "sim_frechet", "sim_pareto", "sliding_backtest",
+    "t_copula_chi", "tail_index_trace", "theta_ci", "theta_sweep", "uc_test",
+    "weekday_subsample", "weissman_quantile",
+]
+
+
+def test_public_names_are_the_pinned_list():
+    # a name added to or dropped from the public surface shows in this list
+    import evtrisk
+
+    assert sorted(evtrisk.__all__) == PUBLIC_NAMES
+
+
+def test_result_types_hold_what_their_call_computed():
+    # no field repeats an argument of the call that built the result; sweeps
+    # keep their grid index, which says which grid points survived
+    from dataclasses import fields
+
+    import evtrisk
+
+    want = {
+        "TailFit": ["gamma", "k_alpha"],
+        "ExtremalIndexFit": ["theta", "block_size", "pseudo_obs_count", "theta_raw", "ci"],
+        "TailDepFit": ["chi", "k", "ci"],
+        "BacktestReport": ["lr_uc", "lr_ind", "lr_cc", "p_uc", "p_ind", "p_cc"],
+        "SlidingBacktestSummary": ["placements", "mean_count", "max_count", "reject_uc",
+                                   "reject_ind", "reject_cc"],
+        "UncondRollResult": ["starts", "forecasts", "counts", "daily"],
+        "CondRollResult": ["days", "forecasts", "exceedances", "refit_failures",
+                           "cold_days"],
+    }
+    got = {name: [f.name for f in fields(getattr(evtrisk, name))] for name in want}
+    assert got == want
+
+
 def test_cli_imports_no_private_name_from_another_module():
     tree = ast.parse((SRC / "evtrisk" / "cli.py").read_text())
     private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)

@@ -120,7 +120,7 @@ DOMAIN_ERRORS = {
                                  EstimationError, "anchor order statistic"),
     "tail_index_trace-method": (lambda: ev.tail_index_trace(CLEAN, [50], method="pickands"),
                                 ValueError, "unknown method 'pickands'"),
-    "tail_fit-gamma-0": (lambda: ev.TailFit(gamma=0.0, k_alpha=5, method="hill", n=10),
+    "tail_fit-gamma-0": (lambda: ev.TailFit(gamma=0.0, k_alpha=5),
                          EstimationError, "extreme value index must be positive"),
 }
 

@@ -44,6 +44,15 @@ def test_duplication_repeats_each_draw_m_times():
     np.testing.assert_array_equal(x, np.repeat(base, 3)[:10])
 
 
+@pytest.mark.parametrize("m, n", [(1, 7), (2, 2000), (3, 10), (5, 3), (7, 100)])
+def test_duplication_equals_repeat_then_cut(m, n):
+    def base(count, seed):
+        return ev.sim_frechet(1.0, count, seed)
+
+    want = np.repeat(base(-(-n // m), 4), m)[:n]
+    assert ev.sim_duplicated(base, m, n, 4).tobytes() == want.tobytes()
+
+
 def test_argarch_gaussian_moments():
     params = ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894)
     x = ev.sim_argarch(params, 1_000_000, 5)
