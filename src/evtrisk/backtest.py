@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, gammaincinv, xlogy
 
 from .argarch import filter_series, fit_qmle, forecast_next
 from .errors import ConvergenceError, EstimationError, NegativeGammaError, _finite_floats
@@ -118,6 +117,8 @@ def _safe_div(num, den):
 
 def _lr_uc(n1, n, p_exc):
     """Vectorized UC likelihood ratio; 0*log(0) = 0 throughout."""
+    from scipy.special import xlogy
+
     n1 = np.asarray(n1, dtype=float)
     n0 = n - n1
     pi = n1 / n
@@ -128,6 +129,8 @@ def _lr_uc(n1, n, p_exc):
 
 def _lr_ind(n00, n01, n10, n11):
     """Vectorized IND likelihood ratio from transition counts."""
+    from scipy.special import xlogy
+
     n00, n01, n10, n11 = (np.asarray(c, dtype=float) for c in (n00, n01, n10, n11))
     total = n00 + n01 + n10 + n11
     pi = _safe_div(n01 + n11, total)
@@ -141,6 +144,8 @@ def _lr_ind(n00, n01, n10, n11):
 
 def uc_test(e: ExceedanceSeries) -> tuple:
     """Unconditional coverage LR test: (lr_uc, p-value), chi-square df 1."""
+    from scipy.special import chdtrc
+
     if e.n < 1:
         raise ValueError("need at least one indicator")
     lr = float(_lr_uc(e.n1, e.n, e.p))
@@ -149,6 +154,8 @@ def uc_test(e: ExceedanceSeries) -> tuple:
 
 def ind_test(e: ExceedanceSeries) -> tuple:
     """First-order independence LR test: (lr_ind, p-value), chi-square df 1."""
+    from scipy.special import chdtrc
+
     if e.n < 2:
         raise ValueError("need at least two indicators")
     lr = float(_window_lrs(e, e.n)[2][0])
@@ -157,6 +164,8 @@ def ind_test(e: ExceedanceSeries) -> tuple:
 
 def cc_test(e: ExceedanceSeries) -> BacktestReport:
     """Conditional coverage test: LR_cc = LR_uc + LR_ind, chi-square df 2."""
+    from scipy.special import chdtrc
+
     lr_uc, p_uc = uc_test(e)
     lr_ind, p_ind = ind_test(e)
     lr_cc = lr_uc + lr_ind
@@ -211,6 +220,8 @@ def sliding_backtest(e: ExceedanceSeries, test_len: int,
         raise ValueError(f"test_len must be in [2, {e.n}], got {test_len}")
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    from scipy.special import gammaincinv
+
     n1, lr_uc, lr_ind = _window_lrs(e, test_len)
     # chi-square quantiles: df = 1 and 2, chi2.ppf(q, df) = 2 * gammaincinv(df / 2, q)
     crit1 = 2.0 * gammaincinv(0.5, 1.0 - level)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .argarch import ArGarchParams
+from .errors import _check_integer
 
 __all__ = ["sim_argarch", "sim_pareto", "sim_frechet", "sim_duplicated"]
 
@@ -28,6 +29,7 @@ def sim_argarch(params: ArGarchParams, n: int, seed,
     and a burn-in of 1000 steps is discarded.  Student-t innovations are
     standardized to unit variance (df > 2 required).
     """
+    _check_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     rng = np.random.default_rng(seed)
@@ -60,6 +62,7 @@ def sim_pareto(alpha: float, n: int, seed) -> np.ndarray:
     """I.i.d. Pareto sample with survival function P(X > x) = x^-alpha, x >= 1."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     u = np.random.default_rng(seed).random(n)
@@ -70,6 +73,7 @@ def sim_frechet(alpha: float, n: int, seed) -> np.ndarray:
     """I.i.d. Frechet sample with CDF exp(-x^-alpha), x > 0."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     u = np.random.default_rng(seed).random(n)
@@ -84,8 +88,10 @@ def sim_duplicated(base_sampler, m: int, n: int, seed) -> np.ndarray:
     base_sampler is a callable (count, seed) -> array, e.g.
     functools.partial(sim_frechet, 2.0).
     """
+    _check_integer(m, "m")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    _check_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     base = np.asarray(base_sampler(-(-n // m), seed), dtype=float)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import stdtr
 
 from .argarch import fit_qmle
 from .bootstrap import BootstrapSpec, _replicate_ci
@@ -115,6 +114,8 @@ def t_copula_chi(rho: float, df: float) -> float:
     chi = 2 * T_{df+1}(-sqrt((df+1)(1-rho)/(1+rho))) where T is the CDF of
     a Student-t with df+1 degrees of freedom.
     """
+    from scipy.special import stdtr
+
     if not -1 < rho <= 1:
         raise ValueError(f"rho must be in (-1, 1], got {rho}")
     if not df > 0:

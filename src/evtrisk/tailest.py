@@ -179,15 +179,23 @@ TAIL_ESTIMATORS = {
 def tail_index_trace(x, k_grid, method: str = "hill", rho: float = -1.0) -> list:
     """Tail fits over a grid of k values (for stability plots).
 
-    Grid points where the estimator is undefined are skipped.
+    Grid points where the estimator is undefined are skipped.  Every
+    estimator reads only the top k + 1 order statistics, so the fits run on
+    the top max(k) + 1 of x, taken once.
     """
     if method not in TAIL_ESTIMATORS:
         raise ValueError(f"unknown method {method!r}")
     estimate = TAIL_ESTIMATORS[method]
+    ks = [int(k) for k in k_grid]
+    x = _finite_floats(x, "tail sample")
+    n = len(x)
+    if ks and all(1 <= k < n for k in ks):  # else the bad k's error names the real n
+        cut = n - max(ks) - 1
+        x = np.partition(x, cut)[cut:]
     out = []
-    for k in k_grid:
+    for k in ks:
         try:
-            out.append(estimate(x, int(k), rho))
+            out.append(estimate(x, k, rho))
         except EstimationError:
             continue
     return out

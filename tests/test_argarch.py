@@ -610,6 +610,20 @@ def test_scalar_maps_match_scipy_expit_and_numpy_logaddexp():
     assert math.isnan(argarch._expit(math.nan))
 
 
+def test_logit_matches_scipy_logit_bit_for_bit():
+    rng = np.random.default_rng(4)
+    # the branch edges 0.3 and 0.65 and their neighbours, and the clip points of _pack
+    edges = [v for c in (0.3, 0.5, 0.65) for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+    draws = np.concatenate([
+        edges, [1e-8, 1.0 - 1e-8, 1.0 - 1e-6], rng.random(20000),
+        *(c + rng.uniform(-0.02, 0.02, 20000) for c in (0.3, 0.5, 0.65)),
+        10.0 ** rng.uniform(-300.0, -1.0, 20000), 1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 20000),
+    ])
+    got = np.array([argarch._logit(v) for v in draws.tolist()])
+    assert got.tobytes() == logit(draws).tobytes()
+    assert argarch._Z3_MAX == float(logit(1.0 - 1e-6))
+
+
 def _assert_same_fit(got, want):
     assert got.params == want.params and got.loglik == want.loglik
     assert got.sigma.tobytes() == want.sigma.tobytes()

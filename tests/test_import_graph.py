@@ -3,9 +3,13 @@
 evtrisk loads none of scipy.stats, scipy.signal and scipy.optimize.  The
 first two once cost about half of `import evtrisk`, which every CLI call
 pays, and nothing in evtrisk needs them; the QMLE fit runs its own search,
-so a fitting command loads no scipy.optimize either.  That check runs in a
-fresh interpreter, because the test session itself imports scipy.stats as
-an oracle.
+so a fitting command loads no scipy.optimize either.  scipy.special is
+imported only inside the functions that call it: the likelihood CI of
+theta, the coverage tests of the backtests and the `t_copula_chi` oracle.
+So `import evtrisk`, the samplers, the tail trace, declustering, the ACF,
+the AR-GARCH fit and every bootstrap CI run without it.  These checks run
+in a fresh interpreter, because the test session itself imports
+scipy.stats and scipy.special as oracles.
 
 The root declares no public name itself: it re-exports the `__all__` of
 each submodule.  The CLI imports no private name from another module, so
@@ -20,37 +24,72 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
 import json, sys
-heavy = ("scipy.stats", "scipy.signal", "scipy.optimize")
-loaded = {}
+heavy = ("scipy.stats", "scipy.signal", "scipy.optimize", "scipy.special")
 import evtrisk
-loaded["import"] = [m for m in heavy if m in sys.modules]
+loaded = {"import": [m for m in heavy if m in sys.modules]}
 from evtrisk.cli import main
-out = sys.argv[1]
-assert main(["sim", "--model", "pareto", "--alpha", "3", "--n", "500",
-             "--out", "pareto.csv", "--out-dir", out]) == 0
-assert main(["tail", "--input", out + "/pareto.csv", "--k-alpha", "50",
-             "--p", "0.99", "--out-dir", out]) == 0
-loaded["tail"] = [m for m in heavy if m in sys.modules]
-assert main(["sim", "--model", "argarch", "--n", "300", "--seed", "3",
-             "--out", "garch.csv", "--out-dir", out]) == 0
-assert main(["garch", "--input", out + "/garch.csv", "--forecast", "--out-dir", out]) == 0
-loaded["garch"] = [m for m in heavy if m in sys.modules]
+for name, argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, name
+    loaded[name] = [m for m in heavy if m in sys.modules]
 print(json.dumps(loaded))
 """
 
 
-def test_evtrisk_loads_no_scipy_stats_signal_or_optimize(tmp_path):
+def _loaded_after(steps) -> dict:
+    """{step name: the heavy modules loaded after it} in one fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(steps)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "tail": [], "garch": []}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _sim_argarch(out, name, seed) -> list:
+    return ["sim", "--model", "argarch", "--n", "600", "--seed", str(seed),
+            "--out", name, "--out-dir", out]
+
+
+def test_evtrisk_loads_no_scipy_stats_signal_optimize_or_special(tmp_path):
+    out = str(tmp_path)
+    a, b = out + "/a.csv", out + "/b.csv"
+    boot = ["--boot-reps", "20"]
+    steps = [
+        ("sim", ["sim", "--model", "pareto", "--alpha", "3", "--n", "500",
+                 "--out", "pareto.csv", "--out-dir", out]),
+        ("tail", ["tail", "--input", out + "/pareto.csv", "--k-alpha", "50", "--p", "0.99",
+                  "--k-grid", "10:200:10", "--ci", *boot, "--out-dir", out]),
+        ("sim_a", _sim_argarch(out, "a.csv", 3)),
+        ("sim_b", _sim_argarch(out, "b.csv", 4)),
+        ("decluster", ["decluster", "--input", a, "--method", "gap", "--gap-days", "5",
+                       "--out-dir", out]),
+        ("acf", ["acf", "--input", a, "--out-dir", out]),
+        ("garch", ["garch", "--input", a, "--forecast", "--out-dir", out]),
+        ("chi", ["chi", "--pair", a, b, "--k", "30", "--residuals", "--ci", *boot,
+                 "--out-dir", out]),
+        ("theta_boot", ["theta", "--input", a, "--block-size", "20", "--ci", "boot", *boot,
+                        "--out-dir", out]),
+    ]
+    loaded = _loaded_after(steps)
+    assert loaded == dict.fromkeys(["import", *(name for name, _ in steps)], [])
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("theta", ["theta", "--block-size", "20", "--ci", "lik"]),
+    ("backtest-uncond", ["backtest-uncond", "--window", "300", "--step", "100",
+                         "--test-len", "200", "--methods", "empirical"]),
+])
+def test_likelihood_ci_and_coverage_tests_import_scipy_special(tmp_path, name, argv):
+    out = str(tmp_path)
+    steps = [("sim", _sim_argarch(out, "a.csv", 3)),
+             (name, argv + ["--input", out + "/a.csv", "--out-dir", out])]
+    assert _loaded_after(steps) == {"import": [], "sim": [], name: ["scipy.special"]}
 
 
 def test_root_exports_exactly_the_submodules_public_names():

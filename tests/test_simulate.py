@@ -92,3 +92,27 @@ def test_invalid_sampler_args():
         ev.sim_frechet(-1.0, 10, 0)
     with pytest.raises(ValueError):
         ev.sim_pareto(2.0, 0, 0)
+
+
+P = ev.ArGarchParams(0.0, 0.0, 0.011, 0.099, 0.894)
+SAMPLERS = {
+    "argarch": lambda n: ev.sim_argarch(P, n, 0),
+    "pareto": lambda n: ev.sim_pareto(2.0, n, 0),
+    "frechet": lambda n: ev.sim_frechet(2.0, n, 0),
+    "duplicated": lambda n: ev.sim_duplicated(lambda c, s: ev.sim_frechet(2.0, c, s), 2, n, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_a_bool_or_float_count_is_refused_not_read_as_a_number(name, n):
+    # True would give one draw, 2.0 a TypeError from NumPy
+    with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+        SAMPLERS[name](n)
+
+
+@pytest.mark.parametrize("m", [True, 2.0])
+def test_a_bool_or_float_duplication_factor_is_refused(m):
+    # True would return the base draws as if m were 1
+    with pytest.raises(ValueError, match=f"m must be an integer, got {m!r}"):
+        ev.sim_duplicated(lambda c, s: ev.sim_frechet(2.0, c, s), m, 5, 0)

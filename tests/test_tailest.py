@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import evtrisk as ev
-from evtrisk.errors import EstimationError, NegativeGammaError
+from evtrisk.errors import DataError, EstimationError, NegativeGammaError
 
 SAMPLE = np.array([1.0, 2.0, 4.0, 8.0])
 
@@ -157,6 +157,36 @@ def test_tail_index_trace_skips_grid_points_where_the_estimator_is_undefined():
     x = np.concatenate([ev.sim_pareto(2.0, 20, 13), -np.arange(1.0, 81.0)])
     trace = ev.tail_index_trace(x, range(5, 40, 5))
     assert [f.k_alpha for f in trace] == [5, 10, 15]
+
+
+@pytest.mark.parametrize("method", ["hill", "corrected", "qq"])
+def test_tail_index_trace_equals_one_estimator_call_per_k(method):
+    # the trace fits on the top max(k) + 1 values; each fit keeps its bits,
+    # and a k the estimator degenerates at (corrected at k = 3) is skipped
+    x = ev.sim_frechet(2.0, 5000, 21)
+    grid = [3, 25, 100, 400, 250, 1000]
+    want = []
+    for k in grid:
+        try:
+            want.append(ev.TAIL_ESTIMATORS[method](x, k, -0.5))
+        except EstimationError:
+            pass
+    assert len(want) >= len(grid) - 1
+    assert ev.tail_index_trace(x, grid, method=method, rho=-0.5) == want
+
+
+def test_tail_index_trace_refuses_a_non_finite_value_below_the_top_k():
+    x = np.concatenate([ev.sim_pareto(2.0, 200, 13), [-np.inf]])
+    with pytest.raises(DataError, match="non-finite value in tail sample"):
+        ev.tail_index_trace(x, [10, 20])
+
+
+def test_tail_index_trace_names_the_sample_size_for_a_k_outside_it():
+    x = ev.sim_pareto(2.0, 200, 13)
+    with pytest.raises(ValueError, match="got k=200, n=200"):
+        ev.tail_index_trace(x, [10, 200])
+    with pytest.raises(ValueError, match="got k=0, n=200"):
+        ev.tail_index_trace(x, [0, 10])
 
 
 def test_weissman_overflow_is_an_estimation_error():
