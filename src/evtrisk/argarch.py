@@ -474,7 +474,10 @@ def fit_qmle(x, compute_se: bool = True,
     fixed data-derived points, one of high and one of low persistence (a
     cold fit), and keeps the best converged search.  With `start` it runs
     one search from there (a warm fit), and falls back to the cold starts,
-    flagged "warm_start_failed", if that search does not converge.  A fit
+    flagged "warm_start_failed", if that search does not converge, or if it
+    started from parameters and ended at a lower loglik than one of the
+    cold starting points, from which the cold fit can only climb (two
+    loglik evaluations; a search carried on from a fit skips them).  A fit
     that ends on the persistence bound is returned with a "near_igarch"
     flag rather than rejected.
 
@@ -504,13 +507,18 @@ def fit_qmle(x, compute_se: bool = True,
 
     if isinstance(start, FilteredSeries):  # where its search ended, else its parameters
         start = start._search_end or start.params
-    if isinstance(start, ArGarchParams):
+    from_params = isinstance(start, ArGarchParams)
+    if from_params:
         start = (_pack(start), None)
     work = _Likelihood(x)
     searches = [] if start is None else [minimize(_neg_loglik, start[0], (work,),
                                                   hinv0=start[1])]
-    flags = () if all(res.success for res in searches) else ("warm_start_failed",)
-    if flags or not searches:
+    failed = not all(res.success for res in searches)
+    if from_params and not failed:  # far parameters can converge far below the cold fit
+        failed = -searches[0].fun < max(work.recursion(*_unpack(_pack(p0))[0])
+                                        for p0 in _starts(x))
+    flags = ("warm_start_failed",) if failed else ()
+    if failed or not searches:
         searches = [minimize(_neg_loglik, _pack(p0), (work,)) for p0 in _starts(x)]
     converged = [res for res in searches if res.success]
     if not converged:

@@ -24,11 +24,11 @@ Hill at k_alpha = 200, same extrapolation), "empirical" (order statistic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .argarch import filter_series, fit_qmle, forecast_next
+from .argarch import _pack, filter_series, fit_qmle, forecast_next
 from .errors import ConvergenceError, EstimationError, NegativeGammaError, _finite_floats
 from .ingest import ReturnSeries
 from .tailest import TAIL_ESTIMATORS, empirical_quantile, hill, weissman_quantile
@@ -371,7 +371,8 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
     only back to its anchor.  A warm search that does not converge falls
     back to the cold starts too; the target days of both are in
     `cold_days`.  The day after a failed fit starts from the reused
-    parameters alone.
+    parameters alone, without the curvature of a search, and like every
+    warm day skips `fit_qmle`'s check of a start from far parameters.
     """
     x = _roll_values(r, window, step)
     n = x.size
@@ -391,7 +392,9 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
         except (ConvergenceError, EstimationError):
             if fitted is None:
                 raise
-            fitted = filter_series(xwin, fitted.params)
+            # a search end, so the next day skips fit_qmle's far-start check
+            fitted = replace(filter_series(xwin, fitted.params),
+                             _search_end=(_pack(fitted.params), None))
             failures.append(t + 1)
         else:
             if start is None or "warm_start_failed" in fitted.flags:

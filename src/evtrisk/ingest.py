@@ -15,9 +15,9 @@ a :class:`ReturnSeries`.
 from __future__ import annotations
 
 import csv
-import io
+import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
 from operator import itemgetter
 
 import numpy as np
@@ -40,6 +40,10 @@ __all__ = [
 _DATE_RANGE = (np.datetime64("1800-01-01"), np.datetime64("9999-12-31"))
 
 
+# rows that `ReturnSeries.write_csv` formats and writes at a time
+_WRITE_ROWS = 2048
+
+
 def _as_dates(dates) -> np.ndarray:
     return np.asarray(dates, dtype="datetime64[D]")
 
@@ -51,14 +55,14 @@ def _check_dates_increasing(dates: np.ndarray, what: str) -> None:
     if np.any(outside):
         raise DataError(f"date {dates[np.argmax(outside)]} outside "
                         f"{_DATE_RANGE[0]}..{_DATE_RANGE[1]} in {what}")
-    if len(dates) >= 2:
-        diffs = np.diff(dates.astype("int64"))
-        if np.any(diffs == 0):
-            i = int(np.argmax(diffs == 0))
-            raise DataError(f"duplicate date {dates[i]} in {what}")
-        if np.any(diffs < 0):
-            i = int(np.argmax(diffs < 0))
-            raise DataError(f"dates not sorted at {dates[i + 1]} in {what}")
+    # neighbours compared as dates: no int64 copy of the series
+    later, earlier = dates[1:], dates[:-1]
+    same = later == earlier
+    if np.any(same):
+        raise DataError(f"duplicate date {dates[np.argmax(same)]} in {what}")
+    back = later < earlier
+    if np.any(back):
+        raise DataError(f"dates not sorted at {dates[np.argmax(back) + 1]} in {what}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +105,14 @@ class ReturnSeries:
         The bytes are those of `csv.writer` (CRLF line ends, no quoting:
         ISO dates and finite float reprs hold no delimiter or quote).
         """
-        rows = map("{},{!r}\r\n".format,
-                   np.datetime_as_string(self.dates).tolist(), self.values.tolist())
         with open(path, "w", newline="") as fh:
-            fh.write("date,value\r\n" + "".join(rows))
+            fh.write("date,value\r\n")
+            # a block of rows at a time: no string of the whole file
+            for i in range(0, len(self), _WRITE_ROWS):
+                block = slice(i, i + _WRITE_ROWS)
+                fh.write("".join(map("{},{!r}\r\n".format,
+                                     np.datetime_as_string(self.dates[block]).tolist(),
+                                     self.values[block].tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +135,13 @@ def _open_csv(path):
     return open(path, newline="", encoding="utf-8-sig")
 
 
-def _rows(reader, path, offset: int = 0):
+def _rows(reader, path):
     """The rows of a csv reader; a csv error (such as a cell past the module's
-    field size limit) is a DataError naming the line, `offset` lines down."""
+    field size limit) is a DataError naming the line."""
     try:
         yield from reader
     except csv.Error as err:
-        raise DataError(f"{path}:{offset + reader.line_num}: {err}") from None
+        raise DataError(f"{path}:{reader.line_num}: {err}") from None
 
 
 # price column names in the column rule's order of preference, outside the date column
@@ -156,51 +164,84 @@ def _column_rule(path, names: list) -> tuple:
     return date, price, True
 
 
-def _read_columns(path):
-    """Dates, values and whether they are prices, from a CSV file with a
-    header row, in the columns `_column_rule` picks.
+# a row of the C reader: the date and the value column
+_ROW = np.dtype([("d", "datetime64[D]"), ("v", float)])
 
-    Column names match header cells stripped and lower-cased, so `Date`,
-    ` date ` and `date` name the same column.  Rows blank in both cells are
-    skipped and missing cells read as blank; any other row that does not
-    parse is a DataError naming its physical line.
+
+def _csv_only(path) -> bool:
+    """Whether the file holds a quote, whose cells only `csv.reader` splits
+    as it does, or a line of `csv.field_size_limit()` bytes or more, which
+    may hold a cell it refuses.  Read in 64 KiB blocks."""
+    limit, size, last_end = csv.field_size_limit(), 0, -1
+    with open(path, "rb") as raw:
+        for block in iter(partial(raw.read, 1 << 16), b""):
+            if b'"' in block:
+                return True
+            codes = np.frombuffer(block, np.uint8)
+            ends = size + np.flatnonzero((codes == 10) | (codes == 13))  # \n, \r
+            if ends.size:
+                if np.diff(ends, prepend=last_end).max() > limit:
+                    return True
+                last_end = int(ends[-1])
+            size += len(block)
+    return size - last_end > limit
+
+
+def _loadtxt_columns(fh, cols):
+    """Dates and values of the lines left in `fh`, in columns `cols`, by
+    NumPy's C reader; None where it raises, whatever the reason, or finds
+    no row."""
+    try:
+        with warnings.catch_warnings():
+            # an empty body is told by the length, so only that warning goes
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", usecols=cols, dtype=_ROW,
+                              comments=None, ndmin=1)
+    except Exception:
+        return None
+    return (rows["d"].copy(), rows["v"].copy()) if len(rows) else None
+
+
+def _csv_columns(fh, path, cols, ncol: int):
+    """Dates and values in columns `cols` of the rows after the header of
+    `fh`, an `_open_csv` handle, read from its start by `csv.reader`.
+
+    Cells are stripped, rows blank in both cells are skipped and missing
+    cells read as blank; any other row that does not parse is a DataError
+    naming its physical line.
     """
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(_rows(reader, path), None)
-        rest = fh.read()
-    if header is None:
-        raise DataError(f"{path}: empty file, header row required")
-    *cols, prices = _column_rule(path, [cell.strip().lower() for cell in header])
-    ncol = len(header)
-
-    # Where the lines after the header hold no quote, csv.reader ends them at
-    # \r\n, \r or \n and splits them at every comma.  When there are data
-    # lines and every non-empty one has ncol cells, one split of the joined
-    # lines holds the cells row by row; this builds no container per row.
-    body = list(filter(None, rest.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
-    if '"' not in rest and set(map(str.count, body, repeat(","))) == {ncol - 1}:
-        cells = ",".join(body).split(",")
-        try:
-            return (np.array(cells[cols[0]::ncol], dtype="datetime64[D]"),
-                    np.array(cells[cols[1]::ncol], dtype=float), prices)
-        except ValueError:
-            pass
-    # quotes, ragged rows or a cell NumPy refuses: strip, skip blank rows,
-    # name the bad one by its line in the file
-    rows = csv.reader(io.StringIO(rest, newline=""))
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
     get = itemgetter(*cols)
     dates, values = [], []
-    for row in _rows(rows, path, reader.line_num):
+    for row in _rows(reader, path):
         d, v = (cell.strip() for cell in get(row + [""] * ncol))
         if d or v:
             try:
                 dates.append(np.datetime64(d, "D"))
                 values.append(float(v))
             except ValueError:
-                line = reader.line_num + rows.line_num
-                raise DataError(f"{path}:{line}: bad row {row!r}") from None
-    return np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=float), prices
+                raise DataError(f"{path}:{reader.line_num}: bad row {row!r}") from None
+    return np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=float)
+
+
+def _read_columns(path):
+    """Dates, values and whether they are prices, from a CSV file with a
+    header row, in the columns `_column_rule` picks.
+
+    Column names match header cells stripped and lower-cased, so `Date`,
+    ` date ` and `date` name the same column.  The rows after the header go
+    to NumPy's C reader unless `_csv_only` says otherwise; what it does not
+    take goes to `_csv_columns`, the only source of a row's DataError.
+    """
+    with _open_csv(path) as fh:
+        header = next(_rows(csv.reader(fh), path), None)
+        if header is None:
+            raise DataError(f"{path}: empty file, header row required")
+        *cols, prices = _column_rule(path, [cell.strip().lower() for cell in header])
+        columns = None if _csv_only(path) else _loadtxt_columns(fh, cols)
+        return (*(columns or _csv_columns(fh, path, cols, len(header))), prices)
 
 
 def load_returns(path, symbol: str = "") -> ReturnSeries:
@@ -216,6 +257,15 @@ def load_returns(path, symbol: str = "") -> ReturnSeries:
     negative log-returns in percent, -100*log(P_i / P_{i-1}), each dated at
     the later price.  Duplicate dates and non-positive prices are hard
     errors rather than silently repaired.
+
+    The rows are read in two stages.  NumPy's C reader (`np.loadtxt`)
+    takes a file without quotes in which every non-empty line has both
+    cells and they parse, and keeps no Python string per line or cell.
+    Any other file (a quote, a short row or one blank in both cells, a
+    cell it cannot parse, no rows) goes to the `csv` module's reader,
+    which strips cells, skips blank rows and names a bad row by its
+    physical line.  Both convert with the routines of `np.datetime64` and
+    `float`, so a file both take gives the same bits in both.
     """
     symbol = symbol or str(path)
     dates, values, prices = _read_columns(path)

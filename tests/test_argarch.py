@@ -1,7 +1,13 @@
 """AR(1)-GARCH(1,1) filtering, QMLE fitting, and forecasting."""
 
+import functools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -662,3 +668,60 @@ def test_an_evaluation_allocates_no_length_n_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n, peak
+
+
+# a fit in a fresh interpreter: the features NumPy dispatches to, and the
+# bytes of the loglik, parameters, standard errors and search end
+SIMD_SCRIPT = """
+import json, sys
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+import evtrisk as ev
+fit = ev.fit_qmle(np.load(sys.argv[1]))
+z, hinv = fit._search_end
+parts = [fit.loglik, fit.params.as_array(), [fit.se[k] for k in sorted(fit.se)], z, hinv]
+print(json.dumps({"features": sorted(k for k, on in __cpu_features__.items() if on),
+                  "fit": [np.asarray(part, dtype=float).tobytes().hex() for part in parts]}))
+"""
+# NPY_DISABLE_CPU_FEATURES by level: AVX-512 off, then AVX2 off too
+SIMD_LEVELS = {"default": "", "avx2": "AVX512_ICL AVX512_SPR X86_V4",
+               "sse": "AVX512_ICL AVX512_SPR X86_V4 X86_V3"}
+
+
+@functools.lru_cache(maxsize=None)
+def _fit_at_simd_level(level, series):
+    """The child's report, or its last error line where it exits non-zero."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if SIMD_LEVELS[level]:
+        env["NPY_DISABLE_CPU_FEATURES"] = SIMD_LEVELS[level]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SIMD_SCRIPT, series], env=env,
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode != 0:
+        return (proc.stderr.strip().splitlines() or ["no output"])[-1]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def simd_series(tmp_path_factory):
+    path = tmp_path_factory.mktemp("simd") / "x.npy"
+    np.save(path, ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0))
+    return str(path)
+
+
+@pytest.mark.parametrize("level, previous", [("avx2", "default"), ("sse", "avx2")])
+def test_a_fit_has_the_same_bits_at_every_simd_level(simd_series, level, previous):
+    # einsum's short dots round differently with AVX-512 than with AVX2;
+    # the search must still take the same steps to the same end
+    default = _fit_at_simd_level("default", simd_series)
+    assert isinstance(default, dict), default
+    got, prev = _fit_at_simd_level(level, simd_series), _fit_at_simd_level(previous, simd_series)
+    if not isinstance(got, dict):  # an older NumPy may not know these feature names
+        pytest.skip(f"NumPy refuses NPY_DISABLE_CPU_FEATURES={SIMD_LEVELS[level]!r}: {got}")
+    if isinstance(prev, dict) and got["features"] == prev["features"]:
+        pytest.skip(f"this CPU has none of {SIMD_LEVELS[level]} to disable")
+    assert got["fit"] == default["fit"]

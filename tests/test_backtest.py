@@ -205,19 +205,39 @@ def test_roll_conditional_structure_and_determinism():
 
 def test_roll_conditional_refit_failure_reuses_previous_params(monkeypatch):
     x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 303, 21)
-    real_fit, fits = backtest.fit_qmle, []
+    real_fit, real_minimize = backtest.fit_qmle, argarch.minimize
+    real_recursion = argarch._Likelihood.recursion
+    fits, starts, searches, recursions = [], [], [], []
 
     def fit_failing_on_day_2(xwin, **kwargs):
+        starts.append(kwargs["start"])
+        searches.clear()
+        recursions.clear()
         if len(fits) == 1:
             fits.append(None)
             raise ev.ConvergenceError("forced failure")
         fits.append(real_fit(xwin, **kwargs))
         return fits[-1]
 
+    def recursion(self, *theta):
+        recursions.append(theta)
+        return real_recursion(self, *theta)
+
+    def wrapped(*args, **kwargs):
+        searches.append(real_minimize(*args, **kwargs))
+        return searches[-1]
+
     monkeypatch.setattr(backtest, "fit_qmle", fit_failing_on_day_2)
+    monkeypatch.setattr(argarch._Likelihood, "recursion", recursion)
+    monkeypatch.setattr(argarch, "minimize", wrapped)
     res = ev.roll_conditional(x, window=300, step=1, p=0.99, methods=("empirical",))
+    # day 3 starts from day 1's parameters without curvature, and like any
+    # warm day pays no loglik evaluation beyond its search and filter
+    z, hinv = starts[2]._search_end
+    assert z.tobytes() == argarch._pack(fits[0].params).tobytes() and hinv is None
+    assert len(searches) == 1 and len(recursions) == searches[0].nfev + 1
     np.testing.assert_array_equal(res.days, [300, 301, 302])
-    assert res.refit_failures.tolist() == [301]
+    assert res.refit_failures.tolist() == [301] and res.cold_days.tolist() == [300]
     filtered = ev.filter_series(x[1:301], fits[0].params)  # day 1's params on day 2's window
     base = ev.forecast_next(filtered, x[300])
     rq = ev.method_quantile(filtered.resid, 0.99, "empirical")
@@ -381,6 +401,57 @@ def test_warm_search_that_uses_up_its_steps_falls_back_to_the_cold_fit(monkeypat
     assert all(res.success for res in searches[1:])
     assert fit.params == cold.params and fit.loglik == cold.loglik
     assert fit.flags == cold.flags + ("warm_start_failed",)
+
+
+@pytest.mark.parametrize("far", [ev.ArGarchParams(0.0, 0.0, 1e-300, 0.0, 0.0),
+                                 ev.ArGarchParams(1e5, 0.0, 1e-300, 0.0, 0.0)],
+                         ids=["zero", "far-mean"])
+def test_parameter_start_that_ends_below_a_cold_start_falls_back(monkeypatch, far):
+    # both warm searches converge, omega stuck at 1e-300, thousands of
+    # loglik units below where the cold starts begin
+    x = ev.sim_argarch(TRUTH, 2000, 7, innovation="student_t", df=5.0)
+    cold = ev.fit_qmle(x, compute_se=False)
+    work = argarch._Likelihood(x)
+    floor = max(work.recursion(*argarch._unpack(argarch._pack(p0))[0])
+                for p0 in argarch._starts(x))
+    real_minimize, searches = argarch.minimize, []
+
+    def wrapped(*args, **kwargs):
+        searches.append(real_minimize(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(argarch, "minimize", wrapped)
+    fit = ev.fit_qmle(x, compute_se=False, start=far)
+    assert searches[0].success and -searches[0].fun < floor - 1000.0
+    assert len(searches) == 1 + len(argarch._starts(x))
+    assert fit.params == cold.params and fit.loglik == cold.loglik
+    assert fit.flags == cold.flags + ("warm_start_failed",)
+
+
+def test_only_a_parameter_start_pays_two_loglik_evaluations_for_its_check(monkeypatch):
+    x = ev.sim_argarch(TRUTH, 500, 32, innovation="student_t", df=5.0)
+    cold = ev.fit_qmle(x, compute_se=False)
+    real_recursion, real_minimize = argarch._Likelihood.recursion, argarch.minimize
+    recursions, searches = [], []
+
+    def recursion(self, *theta):
+        recursions.append(theta)
+        return real_recursion(self, *theta)
+
+    def wrapped(*args, **kwargs):
+        searches.append(real_minimize(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(argarch._Likelihood, "recursion", recursion)
+    monkeypatch.setattr(argarch, "minimize", wrapped)
+    # a search carried on from a fit, as the roll's warm days run, pays
+    # nothing beyond its own evaluations and the final filter
+    for start, check in ((cold, 0), (cold.params, 2), (ev.filter_series(x, cold.params), 2)):
+        recursions.clear()
+        searches.clear()
+        fit = ev.fit_qmle(x[1:], compute_se=False, start=start)
+        assert "warm_start_failed" not in fit.flags and len(searches) == 1
+        assert len(recursions) == searches[0].nfev + 1 + check
 
 
 def test_searches_report_every_objective_evaluation(monkeypatch):

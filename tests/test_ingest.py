@@ -3,15 +3,21 @@
 import csv
 import gc
 import io
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from datetime import date, timedelta
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import evtrisk as ev
+from evtrisk import ingest
 from evtrisk.cli import main
 from evtrisk.errors import DataError
 from evtrisk.ingest import _column_rule, _read_columns
@@ -233,6 +239,23 @@ def test_write_csv_matches_csv_writer_bytes(tmp_path):
     np.testing.assert_array_equal(back.dates, dates)
 
 
+def test_write_csv_writes_in_blocks_the_bytes_of_one_join(tmp_path):
+    n = 7 * ingest._WRITE_ROWS + 3
+    dates = np.datetime64("2000-01-03") + np.arange(n)
+    values = ev.sim_pareto(3.0, n, 1) * np.where(np.arange(n) % 3, 1.0, -1.0)
+    series = ev.ReturnSeries(dates, values)
+    tracemalloc.start()
+    try:
+        series.write_csv(tmp_path / "r.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = map("{},{!r}\r\n".format, np.datetime_as_string(dates).tolist(), values.tolist())
+    assert (tmp_path / "r.csv").read_bytes() == ("date,value\r\n" + "".join(rows)).encode()
+    # one block's strings, not the 2.8 MiB of the whole file's
+    assert peak < 1 << 20
+
+
 def test_weekdays_known_dates():
     # 2020-01-06 was a Monday
     r = ev.ReturnSeries(np.array(["2020-01-06", "2020-01-07", "2020-01-10"],
@@ -443,3 +466,89 @@ def test_loading_a_long_file_runs_at_most_one_gc_collection(tmp_path):
         gc.callbacks.remove(count)
     assert len(r) == 15605
     assert len(starts) <= 1, starts
+
+
+# one load in a fresh interpreter: how far it raises the peak RSS, in KiB.
+# VmHWM, not ru_maxrss: Linux carries a parent's ru_maxrss into the child
+PEAK_SCRIPT = """
+import sys
+import evtrisk
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak()
+evtrisk.load_returns(sys.argv[1])
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's /proc")
+def test_loading_a_long_file_raises_peak_memory_by_under_1_5_mb(tmp_path):
+    # a reader that holds a Python string per line or cell adds about 4.4 MB
+    assert main(["sim", "--model", "pareto", "--alpha", "3", "--n", "15606",
+                 "--out", "r.csv", "--out-dir", str(tmp_path)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, str(tmp_path / "r.csv")],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert int(proc.stdout) < 1.5 * 1024
+
+
+@pytest.mark.parametrize("text, by_csv", [
+    ("date,value\r\n2020-01-01,1.5\r\n2020-01-02,2.5\r\n", False),
+    ("Date,Open,Close\n2020-01-01,1,2\n\n2020-01-02,3,4\n", False),
+    ("\ufeffDate,Close\r2020-01-01,1\r2020-01-02,3\r", False),
+    ("date,value\n2020-01-01,\"1.5\"\n", True),
+    ('"date",value\n2020-01-01,1.5\n', True),
+    ("date,value\n2020-01-01,1_5\n", True),
+    ("date,value\n,\n2020-01-01,1.5\n", True),
+    ("date,value\n\n", True),
+], ids=["crlf", "price-blank-line", "bom-cr", "quoted-cell", "quoted-header",
+        "underscore", "blank-row", "no-rows"])
+def test_only_files_the_c_reader_refuses_go_to_the_csv_reader(tmp_path, monkeypatch,
+                                                              text, by_csv):
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode())
+    calls = []
+    real = ingest._csv_columns
+    monkeypatch.setattr(ingest, "_csv_columns", lambda *args: calls.append(1) or real(*args))
+    try:
+        ingest._read_columns(path)
+    except DataError:
+        pass
+    assert bool(calls) == by_csv
+
+
+@pytest.mark.parametrize("text, warns, by_csv", [
+    ("date,value\n2020-01-01T00:00Z,1.5\n2020-01-02,2.5\n", 1, False),
+    ("date,value\n2020-01-01T00:00Z,1.5\n2020-01-02T00:00+01,2.5\n", 2, False),
+    ("date,value\n2020-01-01T00:00Z,1_5\n", 1, True),
+    ("date,value\n\n", 0, True),
+], ids=["utc-suffix", "two-offsets", "refused-after-a-warning", "no-rows"])
+def test_both_readers_give_the_same_warnings(tmp_path, monkeypatch, text, warns, by_csv):
+    # NumPy warns that a zone suffix is dropped; the C reader must not hide
+    # that, nor show its own "no data" warning for an empty body.  A file it
+    # refuses after a warning is read again by `csv`, which warns again
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+
+    def warned():
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                _read_columns(path)
+            except DataError:
+                pass
+        return [(w.category, str(w.message)) for w in seen]
+
+    calls, real = [], ingest._csv_columns
+    monkeypatch.setattr(ingest, "_csv_columns", lambda *args: calls.append(1) or real(*args))
+    both = warned()
+    assert bool(calls) == by_csv
+    monkeypatch.setattr(ingest, "_loadtxt_columns", lambda fh, cols: None)
+    csv_only = warned()
+    assert len(csv_only) == warns and set(both) == set(csv_only)
+    assert both == csv_only or by_csv

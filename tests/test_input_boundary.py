@@ -9,12 +9,14 @@ import tempfile
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import evtrisk as ev
+from evtrisk import ingest
 from evtrisk.cli import main
 from evtrisk.errors import DataError, EstimationError
 
@@ -139,7 +141,9 @@ LONG_CELL = "x" * 200_000
 @pytest.mark.parametrize("text, line", [
     (f"date,value\n2020-01-01,1.0\n2020-01-02,{LONG_CELL}\n", 3),
     (f"date,value,{LONG_CELL}\n2020-01-01,1.0,0\n", 1),
-], ids=["value-cell", "header-cell"])
+    (f"date,value,note\n2020-01-01,1.0,x\r\n2020-01-02,1.0,{LONG_CELL}\n", 3),
+    (f"date,value,note\n2020-01-01,1.0,{LONG_CELL}", 2),
+], ids=["value-cell", "header-cell", "unread-cell", "unread-cell-last-line"])
 def test_cell_past_the_csv_field_limit_is_a_data_error(tmp_path, capsys, text, line):
     path = tmp_path / "in.csv"
     path.write_text(text)
@@ -226,3 +230,52 @@ def test_cli_contract_on_malformed_files(text):
             else:
                 assert code == 1, argv
                 assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+
+
+@st.composite
+def reader_variant(draw):
+    """A `malformed_csv` file with cells padded, quoted, added or dropped,
+    each line ended by LF, CRLF or CR, and maybe a leading byte-order mark."""
+    lines = draw(malformed_csv()).split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        cells = lines[at].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        kind = draw(st.sampled_from(["padded", "quoted", "extra", "missing"]))
+        if kind == "padded":
+            pad = draw(st.sampled_from([" ", "  ", "\t"]))
+            cells[j] = pad + cells[j] + draw(st.sampled_from(["", pad]))
+        elif kind == "quoted":
+            cells[j] = f'"{cells[j]}"'
+        elif kind == "extra":
+            cells.insert(j + 1, draw(CELLS))
+        else:
+            del cells[j]
+        lines[at] = ",".join(cells)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "\ufeff" * draw(st.booleans()) + "".join(map(str.__add__, lines, ends))
+
+
+def _loaded(path):
+    """The date and value bytes `load_returns` gives, or its error's type and text."""
+    try:
+        series = ev.load_returns(path)
+    except Exception as err:
+        return type(err).__name__, str(err)
+    return series.dates.tobytes(), series.values.tobytes()
+
+
+# derandomized so every run of the suite draws the same files; the examples
+# are quoted cells that hold a line end, and commas before the used columns
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=reader_variant())
+@example(text='date,value,note\n2020-01-01,1.5,"x\n2020-01-02,2.5,y"\n')
+@example(text='note,date,value\n"a,2020-01-01,1.5,b",2020-01-02,2.5\n')
+def test_load_returns_equals_the_csv_reader_alone(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = _loaded(path)
+        with mock.patch.object(ingest, "_loadtxt_columns", return_value=None):
+            assert got == _loaded(path)
