@@ -63,6 +63,9 @@ _FTOL = 1e-15
 _C1 = 1e-4
 _LINE_EVALS = 20
 _MAX_STEPS = 15000
+# the objective's value where it is undefined: `_neg_loglik` where the
+# loglik or its gradient is not finite
+_UNDEFINED = 1e300
 PARAM_NAMES = ("mu", "phi", "omega", "a", "b_coef")
 
 
@@ -137,6 +140,8 @@ class _Likelihood:
     nothing of length n.  It keeps views of x, the start values a_1^2
     (sq[0]) and sigma_1^2 (start_var), the arrays that `recursion` fills,
     and the band `ab` of the variance solve with its Fortran columns u, w.
+    It also remembers the parameters and loglik of its last `recursion`, so
+    that the filter of a fit whose search ended there need not run it again.
     """
 
     def __init__(self, x):
@@ -151,6 +156,7 @@ class _Likelihood:
         self.ab = np.ones((2, x.size - 1), order="F")
         self.u = np.empty((x.size - 1, 1), order="F")
         self.w = np.empty_like(self.u)
+        self.theta = self.loglik = None  # of the last recursion
 
     def solve(self, rhs) -> np.ndarray:
         """Solve y_t = rhs_t + b_coef * y_{t+1} from y_n = rhs_n, in place on
@@ -188,6 +194,7 @@ class _Likelihood:
         summed before their factor -1/2: a power of two commutes with
         rounding, so the bits are those of the plain formulas.
         """
+        self.theta = None  # innov and sigma2 are overwritten from here on
         innov, sigma2, tmp, terms = self.innov, self.sigma2, self.tmp, self.terms
         np.multiply(self.x_lag, phi, out=innov)
         np.subtract(self.x_now, mu, out=tmp)
@@ -208,7 +215,15 @@ class _Likelihood:
         np.log(sigma2, out=terms)
         np.add(terms, _LOG_2PI, out=terms)
         terms += np.divide(self.innov_sq, sigma2, out=tmp)
-        return -0.5 * float(terms.sum())
+        self.theta, self.loglik = (mu, phi, omega, a, b_coef), -0.5 * _sum(terms)
+        return self.loglik
+
+    def loglik_at(self, theta) -> float:
+        """The loglik at theta, with innov and sigma2 filled for it: those of
+        the last `recursion` when it ran at theta, bit for bit, else a new one."""
+        if self.theta is None or np.array(self.theta).tobytes() != np.array(theta).tobytes():
+            return self.recursion(*theta)
+        return self.loglik
 
     def score(self, theta) -> tuple:
         """Quasi-loglikelihood at theta and its exact gradient in theta.
@@ -218,17 +233,18 @@ class _Likelihood:
         sum_t w_t d sigma2_t = (L^-T w) . drive: one backward solve of w, in
         place, then five dot products against the factors of `recursion`.
         No drive or d innov rows are built.  The solve runs on 2w, so the
-        sums over it are halved.
+        sums over it are halved.  The sums are Python floats, as NumPy
+        scalars give the same bits at more cost per operation.
         """
         ll = self.recursion(*theta)
         g = self.solve(self.w)[:, 0]
         v, two_a = self.v, 2.0 * theta[3]
         innov_g = np.multiply(self.innov[:-1], g[1:], out=self.tmp[:-1])
-        return ll, (v.sum() - two_a * (0.5 * innov_g.sum()),
+        return ll, (_sum(v) - two_a * (0.5 * _sum(innov_g)),
                     _dot(self.x_lag, v) - two_a * (0.5 * _dot(innov_g, self.x_lag2)),
-                    0.5 * g.sum(),
+                    0.5 * _sum(g),
                     0.5 * _dot(self.prev_sq, g),
-                    0.5 * (self.start_var * g[0] + _dot(self.sigma2[:-1], g[1:])))
+                    0.5 * (self.start_var * g.item(0) + _dot(self.sigma2[:-1], g[1:])))
 
     def scores(self, theta) -> np.ndarray:
         """Exact per-observation scores d l_t / d theta, shape (n - 1, 5).
@@ -253,10 +269,15 @@ class _Likelihood:
         return scores
 
 
+def _sum(a) -> float:
+    """a.sum(), by the reduction that it calls, without its Python wrapper."""
+    return float(np.add.reduce(a))
+
+
 def _dot(a, b) -> float:
     """Sum of a * b by einsum: OpenBLAS splits a long `a @ b` across threads,
     which makes its last bits depend on the thread count."""
-    return np.einsum("i,i->", a, b)
+    return float(np.einsum("i,i->", a, b))
 
 
 def filter_series(x, params: ArGarchParams) -> FilteredSeries:
@@ -265,14 +286,15 @@ def filter_series(x, params: ArGarchParams) -> FilteredSeries:
     Deterministic; returns conditional volatilities, standardized residuals
     and the Gaussian quasi-loglikelihood evaluated at `params`.  A series
     holding NaN or inf is a DataError.  `fit_qmle` passes its checked
-    series as its `_Likelihood`.
+    series as its `_Likelihood`, whose last recursion this reuses when it
+    ran at `params`.
     """
     if not isinstance(x, _Likelihood):
         x = _finite_floats(x, "AR-GARCH series")
         if x.size < 2:
             raise EstimationError("need at least two observations to filter")
         x = _Likelihood(x)
-    ll = x.recursion(params.mu, params.phi, params.omega, params.a, params.b_coef)
+    ll = x.loglik_at((params.mu, params.phi, params.omega, params.a, params.b_coef))
     sigma = np.sqrt(x.sigma2)
     return FilteredSeries(sigma=sigma, resid=x.innov / sigma, params=params, loglik=ll)
 
@@ -337,17 +359,18 @@ def _neg_loglik(z, work: _Likelihood) -> tuple:
 
     One `work.score` call, its gradient carried to z by the chain rule: the
     products with the nonzero Jacobian entries, summed from +0.0 in the
-    order of an einsum over the whole Jacobian, so with its bits.  The
-    gradient is a fresh array, as `minimize` keeps it across evaluations.
+    order of an einsum over the whole Jacobian, so with its bits.  Where
+    the loglik or the gradient is not finite, the value is `_UNDEFINED`
+    and the gradient 0.
     """
     theta, (d_omega, d_a, d_b, d_share) = _unpack(z)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ll, (s_mu, s_phi, s_omega, s_a, s_b) = work.score(theta)
-        grad = (0.0 + s_mu, 0.0 + s_phi, 0.0 + s_omega * d_omega,
-                0.0 + s_a * d_a + s_b * d_b, 0.0 + s_a * d_share + s_b * -d_share)
+    grad = (0.0 + s_mu, 0.0 + s_phi, 0.0 + s_omega * d_omega,
+            0.0 + s_a * d_a + s_b * d_b, 0.0 + s_a * d_share + s_b * -d_share)
     if not all(map(math.isfinite, (ll, *grad))):
-        return 1e300, np.zeros(5)
-    return -ll, np.negative(grad)
+        return _UNDEFINED, np.zeros(5)
+    return -ll, np.array([-v for v in grad])
 
 
 @dataclass(eq=False)
@@ -363,28 +386,54 @@ class _SearchResult:
     hinv: np.ndarray
 
 
-def _projected(z, g) -> np.ndarray:
-    """g with its z[3] entry counted as 0 where it points past the bound."""
-    if z[3] >= _Z3_MAX and g[3] < 0:
-        g = g.copy()
-        g[3] = 0.0
-    return g
+_IDENTITY = tuple(tuple(float(i == j) for j in range(5)) for i in range(5))  # as rows
 
 
-def _direction(hinv, z, g) -> np.ndarray:
+def _fdot(a, b) -> float:
+    """a . b for two 5-sequences of floats, summed left to right from +0.0."""
+    return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4]
+
+
+def _matvec(rows, v) -> list:
+    """The five `_fdot`s of the rows with v."""
+    v0, v1, v2, v3, v4 = v
+    return [0.0 + r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4
+            for r0, r1, r2, r3, r4 in rows]
+
+
+def _direction(hinv, z, g) -> list:
     """The quasi-Newton step -hinv g; while z sits on the bound with g[3] < 0,
     or the step would leave through it, the z[3] row and column of hinv take
     no part in it."""
-    p = -np.einsum("ij,j->i", hinv, g)
+    p = [-v for v in _matvec(hinv, g)]
     if z[3] >= _Z3_MAX and (g[3] < 0 or p[3] > 0):
-        held = hinv.copy()
-        held[3] = held[:, 3] = 0.0
-        p = -np.einsum("ij,j->i", held, g)
+        p = [-v for v in _matvec(hinv, (g[0], g[1], g[2], 0.0, g[4]))]
+        p[3] = 0.0
     return p
 
 
+def _bfgs_update(hinv, s, y, sy) -> list:
+    """(I - s y'/sy) H (I - y s'/sy) + s s'/sy for H = hinv symmetric, as the
+    rows H_ij - (Hy_i s_j + Hy_j s_i) / sy + c (s_i s_j), c = (y.Hy / sy + 1) / sy.
+    Each term is symmetric in i and j, bit for bit, so the update keeps H
+    exactly symmetric, as the formula assumes."""
+    hy = _matvec(hinv, y)
+    c = (_fdot(y, hy) / sy + 1.0) / sy
+    s0, s1, s2, s3, s4 = s
+    hy0, hy1, hy2, hy3, hy4 = hy
+    rows = []
+    for (h0, h1, h2, h3, h4), s_i, hy_i in zip(hinv, s, hy):
+        rows.append((h0 - (hy_i * s0 + hy0 * s_i) / sy + c * (s_i * s0),
+                     h1 - (hy_i * s1 + hy1 * s_i) / sy + c * (s_i * s1),
+                     h2 - (hy_i * s2 + hy2 * s_i) / sy + c * (s_i * s2),
+                     h3 - (hy_i * s3 + hy3 * s_i) / sy + c * (s_i * s3),
+                     h4 - (hy_i * s4 + hy4 * s_i) / sy + c * (s_i * s4)))
+    return rows
+
+
 def minimize(fun, z0, args=(), hinv0=None) -> _SearchResult:
-    """Minimize fun(z, *args) -> (value, gradient) by BFGS subject to z[3] <= _Z3_MAX.
+    """Minimize fun(z, *args) -> (value, gradient array) over 5-vectors z by
+    BFGS subject to z[3] <= _Z3_MAX.
 
     The inverse-Hessian update of Nocedal & Wright (2006, Algorithm 6.1).
     Without `hinv0` the search starts from the identity: the first step is
@@ -403,38 +452,45 @@ def minimize(fun, z0, args=(), hinv0=None) -> _SearchResult:
     of at most 1e-5, or after a step that decreased the objective by at
     most 1e-15 relative (a stall at rounding level).  It stops without
     `success`, at its last point, when a line search finds no Armijo
-    decrease in 20 evaluations or after `_MAX_STEPS` steps.  `nfev` counts
-    every call of `fun`, and `hinv` is the inverse Hessian the search
-    ended with.  All small products run through einsum, not BLAS, so the
-    steps do not depend on the BLAS thread count or core type.  einsum's
-    own last bits can differ between NumPy's SIMD levels (AVX-512 against
-    AVX2, on short dots).  12 fits at n = 2,000 gave the same bits at the
-    AVX-512, AVX2 and SSE levels, but no test holds a search to that.
+    decrease in 20 evaluations or after `_MAX_STEPS` steps, and at once
+    when fun is undefined at z0 (a value of at least `_UNDEFINED`).  `nfev`
+    counts every call of `fun`.  The result's `x` (the point the search
+    ended at, which fun was last called at if it converged) and `hinv` (the
+    inverse Hessian it ended with) are arrays.
+
+    fun is called with an array.  The step itself runs on Python floats,
+    each dot product a left-to-right sum from +0.0 (`_fdot`), so neither
+    the BLAS thread count or core type nor NumPy's SIMD kernels move its bits.
     """
-    z = np.array(z0, dtype=float)
-    z[3] = min(z[3], _Z3_MAX)
-    f, g = fun(z, *args)
-    nfev = 1
+    x = np.array(z0, dtype=float)
+    x[3] = min(x[3], _Z3_MAX)
+    f, g = fun(x, *args)
+    z, g, nfev = x.tolist(), g.tolist(), 1
     # fresh: the identity start, whose first step is scaled to unit length
     fresh = hinv0 is None
-    hinv = np.eye(z.size) if fresh else np.array(hinv0, dtype=float)
+    hinv = _IDENTITY if fresh else np.array(hinv0, dtype=float).tolist()
+    if not f < _UNDEFINED:
+        return _SearchResult(x, f, nfev, False, np.array(hinv))
     for it in range(_MAX_STEPS):
-        if np.max(np.abs(_projected(z, g))) <= _GTOL:
-            return _SearchResult(z, f, nfev, True, hinv)
+        projected = (g[0], g[1], g[2], 0.0, g[4]) if z[3] >= _Z3_MAX and g[3] < 0 else g
+        if all(abs(v) <= _GTOL for v in projected):
+            return _SearchResult(x, f, nfev, True, np.array(hinv))
         p = _direction(hinv, z, g)
-        if it == 0 and not fresh and not _dot(g, p) < 0:  # the carried step does not descend
-            fresh, hinv = True, np.eye(z.size)
+        if it == 0 and not fresh and not _fdot(g, p) < 0:  # the carried step does not descend
+            fresh, hinv = True, _IDENTITY
             p = _direction(hinv, z, g)
         if fresh:
-            p /= math.sqrt(_dot(g, g))
-        slope = _dot(g, p)
+            norm = math.sqrt(_fdot(g, g))
+            p = [v / norm for v in p]
+        slope = _fdot(g, p)
         to_bound = (_Z3_MAX - z[3]) / p[3] if p[3] > 0 else math.inf
         step = min(1.0, to_bound)
         for _ in range(_LINE_EVALS):
-            trial = z + step * p
+            trial = [zi + step * pi for zi, pi in zip(z, p)]
             if step == to_bound:
                 trial[3] = _Z3_MAX
-            f_trial, g_trial = fun(trial, *args)
+            x_trial = np.array(trial)
+            f_trial, g_trial = fun(x_trial, *args)
             nfev += 1
             if f_trial <= f + _C1 * step * slope:
                 break
@@ -443,22 +499,22 @@ def minimize(fun, z0, args=(), hinv0=None) -> _SearchResult:
             quad = -slope * step * step / (2.0 * (f_trial - f - slope * step))
             step = min(max(quad, 0.1 * step), 0.5 * step)
         else:
-            return _SearchResult(z, f, nfev, False, hinv)
-        s, y = trial - z, g_trial - g
+            return _SearchResult(x, f, nfev, False, np.array(hinv))
+        g_trial = g_trial.tolist()
+        s = [a - b for a, b in zip(trial, z)]
+        y = [a - b for a, b in zip(g_trial, g)]
         stalled = f - f_trial <= _FTOL * max(abs(f), abs(f_trial), 1.0)
-        z, f, g = trial, f_trial, g_trial
+        x, z, f, g = x_trial, trial, f_trial, g_trial
         if stalled:
-            return _SearchResult(z, f, nfev, True, hinv)
-        sy = _dot(s, y)
+            return _SearchResult(x, f, nfev, True, np.array(hinv))
+        sy = _fdot(s, y)
         if sy > 0:
             if fresh:
-                hinv = (sy / _dot(y, y)) * np.eye(z.size)
-            # (I - s y'/sy) H (I - y s'/sy) + s s'/sy, H symmetric
-            hy = np.einsum("ij,j->i", hinv, y)
-            hys = hy[:, None] * s
-            hinv = hinv - (hys + hys.T) / sy + ((_dot(y, hy) / sy + 1.0) / sy * s)[:, None] * s
+                scale = sy / _fdot(y, y)
+                hinv = [[scale * e for e in row] for row in _IDENTITY]
+            hinv = _bfgs_update(hinv, s, y, sy)
         fresh = False
-    return _SearchResult(z, f, nfev, False, hinv)
+    return _SearchResult(x, f, nfev, False, np.array(hinv))
 
 
 def fit_qmle(x, compute_se: bool = True,
@@ -477,9 +533,17 @@ def fit_qmle(x, compute_se: bool = True,
     flagged "warm_start_failed", if that search does not converge, or if it
     started from parameters and ended at a lower loglik than one of the
     cold starting points, from which the cold fit can only climb (two
-    loglik evaluations; a search carried on from a fit skips them).  A fit
-    that ends on the persistence bound is returned with a "near_igarch"
-    flag rather than rejected.
+    loglik evaluations before the search; a search carried on from a fit
+    skips them).  A search that starts where the loglik or its gradient is
+    not finite ends there unconverged.  A fit that ends on the persistence
+    bound is returned with a "near_igarch" flag rather than rejected.
+
+    The searches run in one `_Likelihood`, and the fit's filter reuses its
+    last recursion where the winning search ended there, as every converged
+    search does at its last evaluation: a warm fit, or a cold fit won by its
+    second search, runs no recursion after its search.  The search's step
+    arithmetic is plain Python floats, with no BLAS or SIMD kernel (see
+    `minimize`).
 
     Parameters
     ----------
@@ -511,12 +575,14 @@ def fit_qmle(x, compute_se: bool = True,
     if from_params:
         start = (_pack(start), None)
     work = _Likelihood(x)
+    if from_params:  # far parameters can converge far below the cold fit
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            floor = max(work.recursion(*_unpack(_pack(p0))[0]) for p0 in _starts(x))
     searches = [] if start is None else [minimize(_neg_loglik, start[0], (work,),
                                                   hinv0=start[1])]
     failed = not all(res.success for res in searches)
-    if from_params and not failed:  # far parameters can converge far below the cold fit
-        failed = -searches[0].fun < max(work.recursion(*_unpack(_pack(p0))[0])
-                                        for p0 in _starts(x))
+    if from_params and not failed:
+        failed = -searches[0].fun < floor
     flags = ("warm_start_failed",) if failed else ()
     if failed or not searches:
         searches = [minimize(_neg_loglik, _pack(p0), (work,)) for p0 in _starts(x)]

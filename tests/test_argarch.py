@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -725,3 +727,117 @@ def test_a_fit_has_the_same_bits_at_every_simd_level(simd_series, level, previou
     if isinstance(prev, dict) and got["features"] == prev["features"]:
         pytest.skip(f"this CPU has none of {SIMD_LEVELS[level]} to disable")
     assert got["fit"] == default["fit"]
+
+
+@pytest.mark.parametrize("start", ["cold", "carried", "params", "se"])
+def test_a_fit_holds_the_filter_of_its_parameters_byte_for_byte(start):
+    # a fit's filter reuses its search's last recursion where it can; the
+    # result must be that of a fresh filter_series at the fitted parameters
+    x = ev.sim_argarch(GARCH_TRUTH, 2001, 11, innovation="student_t", df=5.0)
+    today = ev.fit_qmle(x[:-1], compute_se=False)
+    starts = {"cold": None, "carried": today, "params": today.params, "se": None}
+    fit = ev.fit_qmle(x[1:], compute_se=start == "se", start=starts[start])
+    want = ev.filter_series(x[1:], fit.params)
+    assert fit.sigma.tobytes() == want.sigma.tobytes()
+    assert fit.resid.tobytes() == want.resid.tobytes()
+    assert fit.loglik == want.loglik
+    assert "warm_start_failed" not in fit.flags and (fit.se is not None) == (start == "se")
+
+
+# squared deviations of about 1e-310 make the score overflow at every start
+UNDEFINED_SERIES = np.random.default_rng(0).standard_t(5, 500) * 1e-155
+UNDEFINED_Z = np.array([1e300, 0.0, 0.0, 0.0, 0.0])
+
+
+def test_a_search_that_starts_where_the_objective_is_undefined_ends_unconverged():
+    x = ev.sim_argarch(GARCH_TRUTH, 300, 11)
+    res = minimize(argarch._neg_loglik, UNDEFINED_Z, (_Likelihood(x),))
+    assert not res.success and res.nfev == 1 and res.fun == 1e300
+    assert res.x.tolist() == UNDEFINED_Z.tolist()
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_fit_whose_starts_are_all_undefined_raises_without_a_warning(monkeypatch, warm):
+    real_minimize, searches = argarch.minimize, []
+
+    def wrapped(*args, **kwargs):
+        searches.append(real_minimize(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(argarch, "minimize", wrapped)
+    start = argarch._starts(UNDEFINED_SERIES)[0] if warm else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ev.ConvergenceError,
+                           match="^QMLE search failed to converge from any start$"):
+            ev.fit_qmle(UNDEFINED_SERIES, start=start)
+    assert len(searches) == warm + len(argarch._starts(UNDEFINED_SERIES))
+    assert all(not res.success and res.nfev == 1 and res.fun == 1e300 for res in searches)
+
+
+def test_a_carried_start_where_the_objective_is_undefined_falls_back_flagged():
+    x = ev.sim_argarch(GARCH_TRUTH, 500, 11, innovation="student_t", df=5.0)
+    cold = ev.fit_qmle(x, compute_se=False)
+    undefined = replace(cold, _search_end=(UNDEFINED_Z, None))
+    fit = ev.fit_qmle(x, compute_se=False, start=undefined)
+    assert fit.params == cold.params and fit.loglik == cold.loglik
+    assert fit.flags == cold.flags + ("warm_start_failed",)
+
+
+# a search on a pure-Python objective in a fresh interpreter: a badly scaled
+# quadratic plus a quartic, so any bits that move come from minimize itself
+SEARCH_SCRIPT = """
+import json
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+from evtrisk.argarch import minimize
+SCALES, CENTRE = (1e-3, 1.0, 30.0, 0.3, 1e3), (0.7, -1.3, 2.1, 0.4, -0.05)
+
+def objective(z):
+    d = [v - c for v, c in zip(z.tolist(), CENTRE)]
+    r = 0.0
+    for v in d:
+        r += v * v
+    f = 0.25 * r * r
+    for k, v in zip(SCALES, d):
+        f += k * v * v
+    return f, np.array([2.0 * k * v + r * v for k, v in zip(SCALES, d)])
+
+res = minimize(objective, np.array([3.0, 2.0, -1.0, -2.0, 1.5]))
+print(json.dumps({"features": sorted(k for k, on in __cpu_features__.items() if on),
+                  "success": res.success, "nfev": res.nfev,
+                  "search": [np.asarray(part, dtype=float).tobytes().hex()
+                             for part in (res.x, [res.fun], res.hinv)]}))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _search_at_simd_level(level):
+    """The child's report, or its last error line where it exits non-zero."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if SIMD_LEVELS[level]:
+        env["NPY_DISABLE_CPU_FEATURES"] = SIMD_LEVELS[level]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SEARCH_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode != 0:
+        return (proc.stderr.strip().splitlines() or ["no output"])[-1]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("level, previous", [("avx2", "default"), ("sse", "avx2")])
+def test_a_search_has_the_same_bits_at_every_simd_level(level, previous):
+    # the step runs on Python floats, so no NumPy kernel may move a bit of it
+    default = _search_at_simd_level("default")
+    assert isinstance(default, dict), default
+    assert default["success"] and default["nfev"] > 30
+    got, prev = _search_at_simd_level(level), _search_at_simd_level(previous)
+    if not isinstance(got, dict):  # an older NumPy may not know these feature names
+        pytest.skip(f"NumPy refuses NPY_DISABLE_CPU_FEATURES={SIMD_LEVELS[level]!r}: {got}")
+    if isinstance(prev, dict) and got["features"] == prev["features"]:
+        pytest.skip(f"this CPU has none of {SIMD_LEVELS[level]} to disable")
+    assert (got["nfev"], got["search"]) == (default["nfev"], default["search"])

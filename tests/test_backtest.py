@@ -232,10 +232,11 @@ def test_roll_conditional_refit_failure_reuses_previous_params(monkeypatch):
     monkeypatch.setattr(argarch, "minimize", wrapped)
     res = ev.roll_conditional(x, window=300, step=1, p=0.99, methods=("empirical",))
     # day 3 starts from day 1's parameters without curvature, and like any
-    # warm day pays no loglik evaluation beyond its search and filter
+    # warm day pays no loglik evaluation beyond its search: its filter
+    # reuses the search's last one
     z, hinv = starts[2]._search_end
     assert z.tobytes() == argarch._pack(fits[0].params).tobytes() and hinv is None
-    assert len(searches) == 1 and len(recursions) == searches[0].nfev + 1
+    assert len(searches) == 1 and len(recursions) == searches[0].nfev
     np.testing.assert_array_equal(res.days, [300, 301, 302])
     assert res.refit_failures.tolist() == [301] and res.cold_days.tolist() == [300]
     filtered = ev.filter_series(x[1:301], fits[0].params)  # day 1's params on day 2's window
@@ -445,13 +446,13 @@ def test_only_a_parameter_start_pays_two_loglik_evaluations_for_its_check(monkey
     monkeypatch.setattr(argarch._Likelihood, "recursion", recursion)
     monkeypatch.setattr(argarch, "minimize", wrapped)
     # a search carried on from a fit, as the roll's warm days run, pays
-    # nothing beyond its own evaluations and the final filter
+    # nothing beyond its own evaluations, whose last one the filter reuses
     for start, check in ((cold, 0), (cold.params, 2), (ev.filter_series(x, cold.params), 2)):
         recursions.clear()
         searches.clear()
         fit = ev.fit_qmle(x[1:], compute_se=False, start=start)
         assert "warm_start_failed" not in fit.flags and len(searches) == 1
-        assert len(recursions) == searches[0].nfev + 1 + check
+        assert len(recursions) == searches[0].nfev + check
 
 
 def test_searches_report_every_objective_evaluation(monkeypatch):

@@ -445,6 +445,20 @@ def test_garch_fit_filter_forecast(argarch_csv, tmp_path):
     assert len(resid) == 1200 - 1
 
 
+def test_garch_where_the_loglik_is_undefined_at_every_start_exits_1(tmp_path, capsys):
+    # squared deviations of about 1e-310 make the score overflow at every start
+    values = np.random.default_rng(0).standard_t(5, 500) * 1e-155
+    dates = (np.datetime64("2000-01-03") + np.arange(500)).astype(str)
+    path = tmp_path / "tiny.csv"
+    path.write_text("date,value\n" + "".join(f"{d},{v!r}\n" for d, v in zip(dates, values.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run("garch", "--input", path, "--out-dir", tmp_path / "o")
+    assert code == 1
+    assert capsys.readouterr().err == "error: QMLE search failed to converge from any start\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_backtest_uncond_artifacts(pareto_csv, tmp_path):
     out = tmp_path / "bu"
     assert _run("backtest-uncond", "--input", pareto_csv, "--window", 1000,
