@@ -15,16 +15,23 @@ volatility forecasts are formed from the last filtered state.
 Conventions: the first observation is consumed by the AR lag, so filtered
 series have length n - 1.  The recursion starts from sigma_1^2 = Var(x)
 and a_1 = x_1 - mean(x).
+
+The variance recursion runs as LAPACK's banded solve dtbtrs, called
+through `ctypes` in the OpenBLAS that NumPy's wheel ships, so that this
+module loads no SciPy; where NumPy has no such OpenBLAS it runs SciPy's
+dtbtrs, with the same bytes (`_openblas_dtbtrs`, `_banded_solve`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 from .errors import ConvergenceError, EstimationError, _finite_floats
 
@@ -132,16 +139,87 @@ class Forecast:
         return self.mu_next + self.sigma_next * float(q)
 
 
+def _openblas_dtbtrs():
+    """LAPACK's dtbtrs in the OpenBLAS of NumPy's wheel, or None where it has none.
+
+    NumPy's wheels ship OpenBLAS with its LAPACK, built with 64-bit
+    integers, as numpy.libs/libscipy_openblas64_*.so beside the package
+    (numpy/.dylibs on macOS), which exports dtbtrs as `scipy_dtbtrs_64_`.
+    NumPy has loaded that file already, so opening it again costs no
+    memory.  The file name and the symbol name are the wheel's build
+    choices, not a NumPy API: a NumPy linked to a system BLAS, MKL or
+    Accelerate has neither, and then `_banded_solve` runs SciPy's dtbtrs.
+    """
+    package = os.path.dirname(np.__file__)
+    for folder in (os.path.join(package, os.pardir, "numpy.libs"),
+                   os.path.join(package, ".dylibs")):
+        try:
+            names = sorted(os.listdir(folder))
+        except OSError:
+            continue
+        for name in names:
+            if name.startswith("libscipy_openblas64_"):
+                try:
+                    func = ctypes.CDLL(os.path.join(folder, name)).scipy_dtbtrs_64_
+                except (OSError, AttributeError):
+                    continue
+                func.restype = None
+                return func
+    return None
+
+
+_DTBTRS = _openblas_dtbtrs()
+_INT = ctypes.c_int64
+_ONE, _TWO = ctypes.byref(_INT(1)), ctypes.byref(_INT(2))
+_LEN = ctypes.c_size_t(1)  # the hidden length of each Fortran character argument
+
+
+def _banded_solve(ab, rhs):
+    """A call without arguments that solves the band ab on rhs in place, as
+    `_Likelihood.solve` says, with its arguments checked and bound once.
+
+    It calls `_DTBTRS` through `ctypes`, which reads and writes where its
+    pointers say, so first both arrays are checked: writeable float64 in
+    Fortran order, ab of shape (2, n) and rhs of shape (n, k).  Where
+    NumPy's OpenBLAS has no dtbtrs it calls `scipy.linalg.lapack.dtbtrs`
+    instead.  With a unit diagonal dtbtrs finds no singular matrix, and its
+    `info` reports only an illegal argument, which the checks rule out, so
+    neither route reads it.
+    """
+    if not (ab.dtype == rhs.dtype == np.float64 and ab.ndim == rhs.ndim == 2
+            and ab.shape[0] == 2 and rhs.shape[0] == ab.shape[1] >= 1 and rhs.shape[1] >= 1
+            and all(arr.flags.f_contiguous and arr.flags.writeable for arr in (ab, rhs))):
+        raise ValueError("the banded solve takes writeable float64 Fortran arrays, "
+                         "a (2, n) band and an (n, k) right-hand side")
+    if _DTBTRS is None:
+        from scipy.linalg.lapack import dtbtrs
+
+        return partial(dtbtrs, ab, rhs, uplo="L", trans="T", diag="U", overwrite_b=1)
+    # uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb and info by reference,
+    # then the hidden lengths of the three characters.  Each argument is a
+    # ctypes object of its C type (or bytes, a char *), so the call declares
+    # no argtypes, whose conversions would add about 2 us to each solve
+    n, k = (ctypes.byref(_INT(size)) for size in rhs.shape)
+    # pointers to the first byte of each array, through the buffer of its
+    # transpose, which is C-contiguous; the ctypes objects hold the buffers,
+    # so the arrays live as long as the bound call
+    ab_data, rhs_data = (ctypes.byref(ctypes.c_char.from_buffer(arr.T)) for arr in (ab, rhs))
+    return partial(_DTBTRS, b"L", b"T", b"U", n, _ONE, k, ab_data, _TWO, rhs_data, n,
+                   ctypes.byref(_INT()), _LEN, _LEN, _LEN)
+
+
 class _Likelihood:
     """The Gaussian quasi-likelihood of one series, evaluated in place.
 
     A fit builds one, and its searches, its final `filter_series` and its
     standard errors all run in it, so an objective evaluation allocates
     nothing of length n.  It keeps views of x, the start values a_1^2
-    (sq[0]) and sigma_1^2 (start_var), the arrays that `recursion` fills,
-    and the band `ab` of the variance solve with its Fortran columns u, w.
-    It also remembers the parameters and loglik of its last `recursion`, so
-    that the filter of a fit whose search ended there need not run it again.
+    (sq[0]) and sigma_1^2 (start_var), the arrays that `recursion` and
+    `factors` fill, and the band `ab` of the variance solve with its
+    Fortran columns u and w, each with its solve bound (`solve_u`,
+    `solve_w`).  It also remembers the parameters and loglik of its last
+    `recursion`, so that the filter of a fit whose search ended there need
+    not run it again.
     """
 
     def __init__(self, x):
@@ -156,6 +234,7 @@ class _Likelihood:
         self.ab = np.ones((2, x.size - 1), order="F")
         self.u = np.empty((x.size - 1, 1), order="F")
         self.w = np.empty_like(self.u)
+        self.solve_u, self.solve_w = _banded_solve(self.ab, self.u), _banded_solve(self.ab, self.w)
         self.theta = self.loglik = None  # of the last recursion
 
     def solve(self, rhs) -> np.ndarray:
@@ -164,35 +243,24 @@ class _Likelihood:
 
         This is the transpose of the variance recursion y_t - b_coef * y_{t-1}
         = rhs_t, a unit lower-bidiagonal system that LAPACK's banded
-        triangular solver runs column by column.  The matrix is Toeplitz, so
-        the recursion itself is this solve on the reversed series: OpenBLAS's
-        forward kernels round differently on different CPUs, its transposed
-        one the same on every CPU it was run on.
+        triangular solver dtbtrs runs column by column (`_banded_solve`).
+        The matrix is Toeplitz, so the recursion itself is this solve on the
+        reversed series: OpenBLAS's forward kernels round differently on
+        different CPUs, its transposed one the same on every CPU it was run
+        on.  `solve_u` and `solve_w` are this solve on u and w, bound once.
         """
-        info = dtbtrs(self.ab, rhs, uplo="L", trans="T", diag="U", overwrite_b=1)[1]
-        if info != 0:
-            raise EstimationError(f"banded variance solve failed (LAPACK info {info})")
+        _banded_solve(self.ab, rhs)()
         return rhs
 
     def recursion(self, mu, phi, omega, a, b_coef) -> float:
-        """Innovations a_t, conditional variances sigma_t^2 and score factors,
-        t = 2..n, into innov, sigma2, v and w; returns the quasi-loglikelihood.
+        """Innovations a_t and conditional variances sigma_t^2, t = 2..n, into
+        innov and sigma2; returns the quasi-loglikelihood.
 
         sigma2_t = u_t + b_coef * sigma2_{t-1}, with u_t = omega + a * a_{t-1}^2,
         is linear in sigma2: one banded solve of u, written reversed, with
-        the start term b_coef * sigma_1^2 folded into the first u_t.
-
-        The score of observation t is w_t d sigma2_t - v_t d innov_t, with
-        w_t = (innov_t^2 / sigma2_t - 1) / (2 sigma2_t), v_t = innov_t / sigma2_t
-        and d the derivative in theta = (mu, phi, omega, a, b_coef).
-        d innov_t = (-1, -x_{t-1}, 0, 0, 0), and the variance derivatives follow
-        the variance recursion itself, d sigma2_t = drive_t + b_coef * d sigma2_{t-1}
-        with drive_t = (-2a innov_{t-1}, -2a innov_{t-1} x_{t-2}, 1, innov_{t-1}^2,
-        sigma2_{t-1}) (Fiorentini, Calzolari & Panattoni 1996); the start values
-        a_1 and sigma_1^2 do not depend on theta, so the first drive_t is
-        (0, 0, 1, a_1^2, sigma_1^2).  w holds 2 w_t, and the loglik terms are
-        summed before their factor -1/2: a power of two commutes with
-        rounding, so the bits are those of the plain formulas.
+        the start term b_coef * sigma_1^2 folded into the first u_t.  The
+        loglik terms are summed before their factor -1/2: a power of two
+        commutes with rounding, so the bits are those of the plain formula.
         """
         self.theta = None  # innov and sigma2 are overwritten from here on
         innov, sigma2, tmp, terms = self.innov, self.sigma2, self.tmp, self.terms
@@ -205,18 +273,35 @@ class _Likelihood:
         np.add(tmp, omega, out=u)
         u[0] += b_coef * self.start_var
         self.ab[1] = -b_coef
-        self.solve(self.u)
+        self.solve_u()
         np.copyto(sigma2, u)  # in time order: NumPy is slower on reversed views
-        v = np.divide(innov, sigma2, out=self.v)
-        w = self.w[:, 0]
-        np.multiply(innov, v, out=w)
-        np.subtract(w, 1.0, out=w)
-        np.divide(w, sigma2, out=w)
         np.log(sigma2, out=terms)
         np.add(terms, _LOG_2PI, out=terms)
         terms += np.divide(self.innov_sq, sigma2, out=tmp)
         self.theta, self.loglik = (mu, phi, omega, a, b_coef), -0.5 * _sum(terms)
         return self.loglik
+
+    def factors(self) -> np.ndarray:
+        """The score factors of the last `recursion` into v and w; returns v.
+
+        The score of observation t is w_t d sigma2_t - v_t d innov_t, with
+        w_t = (innov_t^2 / sigma2_t - 1) / (2 sigma2_t), v_t = innov_t / sigma2_t
+        and d the derivative in theta = (mu, phi, omega, a, b_coef).
+        d innov_t = (-1, -x_{t-1}, 0, 0, 0), and the variance derivatives follow
+        the variance recursion itself, d sigma2_t = drive_t + b_coef * d sigma2_{t-1}
+        with drive_t = (-2a innov_{t-1}, -2a innov_{t-1} x_{t-2}, 1, innov_{t-1}^2,
+        sigma2_{t-1}) (Fiorentini, Calzolari & Panattoni 1996); the start values
+        a_1 and sigma_1^2 do not depend on theta, so the first drive_t is
+        (0, 0, 1, a_1^2, sigma_1^2).  w holds 2 w_t.  A plain filter needs
+        neither, so `recursion` leaves them to `score` and `scores`.
+        """
+        innov, sigma2 = self.innov, self.sigma2
+        v = np.divide(innov, sigma2, out=self.v)
+        w = self.w[:, 0]
+        np.multiply(innov, v, out=w)
+        np.subtract(w, 1.0, out=w)
+        np.divide(w, sigma2, out=w)
+        return v
 
     def loglik_at(self, theta) -> float:
         """The loglik at theta, with innov and sigma2 filled for it: those of
@@ -231,14 +316,15 @@ class _Likelihood:
         The gradient is the summed score by the adjoint method.  With L the
         banded matrix of the variance recursion, d sigma2 = L^-1 drive, so
         sum_t w_t d sigma2_t = (L^-T w) . drive: one backward solve of w, in
-        place, then five dot products against the factors of `recursion`.
+        place, then five dot products against the `factors`.
         No drive or d innov rows are built.  The solve runs on 2w, so the
         sums over it are halved.  The sums are Python floats, as NumPy
         scalars give the same bits at more cost per operation.
         """
         ll = self.recursion(*theta)
-        g = self.solve(self.w)[:, 0]
-        v, two_a = self.v, 2.0 * theta[3]
+        v, two_a = self.factors(), 2.0 * theta[3]
+        self.solve_w()
+        g = self.w[:, 0]
         innov_g = np.multiply(self.innov[:-1], g[1:], out=self.tmp[:-1])
         return ll, (_sum(v) - two_a * (0.5 * _sum(innov_g)),
                     _dot(self.x_lag, v) - two_a * (0.5 * _dot(innov_g, self.x_lag2)),
@@ -249,10 +335,11 @@ class _Likelihood:
     def scores(self, theta) -> np.ndarray:
         """Exact per-observation scores d l_t / d theta, shape (n - 1, 5).
 
-        One solve of the five drive rows of `recursion`, reversed; only the
+        One solve of the five drive rows of `factors`, reversed; only the
         outer product S of the sandwich needs the rows themselves.
         """
         self.recursion(*theta)
+        v = self.factors()
         drive = np.empty((self.innov.size, 5), order="F")
         rows = drive[::-1].T  # in time order
         rows[:2, 0] = 0.0
@@ -264,8 +351,8 @@ class _Likelihood:
         rows[4, 1:] = self.sigma2[:-1]
         # C-contiguous, in time order: on other layouts einsum rounds S otherwise
         scores = (0.5 * self.w) * self.solve(drive)[::-1].copy()
-        scores[:, 0] += self.v
-        scores[:, 1] += self.v * self.x_lag
+        scores[:, 0] += v
+        scores[:, 1] += v * self.x_lag
         return scores
 
 

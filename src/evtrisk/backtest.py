@@ -24,10 +24,12 @@ Hill at k_alpha = 200, same extrapolation), "empirical" (order statistic).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._special import ndtri, xlogy
 from .argarch import _pack, filter_series, fit_qmle, forecast_next
 from .errors import ConvergenceError, EstimationError, NegativeGammaError, _finite_floats
 from .ingest import ReturnSeries
@@ -117,8 +119,6 @@ def _safe_div(num, den):
 
 def _lr_uc(n1, n, p_exc):
     """Vectorized UC likelihood ratio; 0*log(0) = 0 throughout."""
-    from scipy.special import xlogy
-
     n1 = np.asarray(n1, dtype=float)
     n0 = n - n1
     pi = n1 / n
@@ -129,8 +129,6 @@ def _lr_uc(n1, n, p_exc):
 
 def _lr_ind(n00, n01, n10, n11):
     """Vectorized IND likelihood ratio from transition counts."""
-    from scipy.special import xlogy
-
     n00, n01, n10, n11 = (np.asarray(c, dtype=float) for c in (n00, n01, n10, n11))
     total = n00 + n01 + n10 + n11
     pi = _safe_div(n01 + n11, total)
@@ -208,6 +206,13 @@ def _window_lrs(e: ExceedanceSeries, length: int) -> tuple:
     return n1, _lr_uc(n1, length, e.p), _lr_ind(n00, n01, n10, n11)
 
 
+def _chi2_critical(level: float) -> tuple:
+    """The chi-square critical values at `level` for df 1 and 2, the
+    quantiles chi2.ppf(1 - level, df), in closed form: ndtri(level / 2)^2
+    and -2 log(level)."""
+    return ndtri(0.5 * level) ** 2, -2.0 * math.log(level)
+
+
 def sliding_backtest(e: ExceedanceSeries, test_len: int,
                      level: float = 0.05) -> SlidingBacktestSummary:
     """UC/IND/CC tests over every test_len-day window stepped one day at a time.
@@ -220,12 +225,8 @@ def sliding_backtest(e: ExceedanceSeries, test_len: int,
         raise ValueError(f"test_len must be in [2, {e.n}], got {test_len}")
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    from scipy.special import gammaincinv
-
     n1, lr_uc, lr_ind = _window_lrs(e, test_len)
-    # chi-square quantiles: df = 1 and 2, chi2.ppf(q, df) = 2 * gammaincinv(df / 2, q)
-    crit1 = 2.0 * gammaincinv(0.5, 1.0 - level)
-    crit2 = 2.0 * gammaincinv(1.0, 1.0 - level)
+    crit1, crit2 = _chi2_critical(level)
     return SlidingBacktestSummary(
         placements=int(n1.size),
         mean_count=float(np.mean(n1)),

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import EstimationError, EvtriskError, _check_integer
 
@@ -50,7 +51,7 @@ def resample_indices(n: int, spec: BootstrapSpec, replicate_index: int) -> np.nd
     """
     if n < 2:
         raise ValueError(f"need n >= 2 to resample, got {n}")
-    rng = np.random.default_rng([int(spec.seed), int(replicate_index)])
+    rng = default_rng([int(spec.seed), int(replicate_index)])
     p = 1.0 / spec.mean_block
 
     # a block of n or more can only be the last one, which is trimmed below

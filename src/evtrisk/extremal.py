@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._special import ndtri
 from .bootstrap import BootstrapSpec, percentile_ci
 from .errors import EstimationError, _finite_floats
 
@@ -153,8 +154,6 @@ def _with_ci(fit: ExtremalIndexFit, ranks: np.ndarray, level: float, method: str
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if method == EXP_LIKELIHOOD:
-        from scipy.special import ndtri
-
         # a fit has b < n (_check_block_size), so n_eff > 0
         n_eff = fit.pseudo_obs_count / fit.block_size
         z = ndtri(0.5 + level / 2.0)

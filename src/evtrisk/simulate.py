@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random import default_rng
 
 from .argarch import ArGarchParams
 from .errors import _check_integer
@@ -32,7 +33,7 @@ def sim_argarch(params: ArGarchParams, n: int, seed,
     _check_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     total = n + _BURN_IN
     if innovation == "gaussian":
         eps = rng.standard_normal(total)
@@ -65,7 +66,7 @@ def sim_pareto(alpha: float, n: int, seed) -> np.ndarray:
     _check_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    u = np.random.default_rng(seed).random(n)
+    u = default_rng(seed).random(n)
     return (1.0 - u) ** (-1.0 / alpha)  # 1 - u lies in (0, 1]
 
 
@@ -76,7 +77,7 @@ def sim_frechet(alpha: float, n: int, seed) -> np.ndarray:
     _check_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    u = np.random.default_rng(seed).random(n)
+    u = default_rng(seed).random(n)
     e = -np.log1p(-u)  # exponential(1), zero only if u == 0 exactly
     e[e == 0.0] = np.finfo(float).tiny
     return e ** (-1.0 / alpha)

@@ -535,6 +535,100 @@ def test_variance_solve_matches_loop(b_coef, shape, trans):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+def test_the_openblas_solve_matches_scipys_dtbtrs_byte_for_byte():
+    # the solve calls dtbtrs in the OpenBLAS of NumPy's wheel, which SciPy's
+    # wrapper does not reach; on this install both must give the same bytes
+    if argarch._DTBTRS is None:
+        pytest.skip("this NumPy ships no OpenBLAS dtbtrs; the solve runs in SciPy")
+    rng = np.random.default_rng(41)
+    for k in range(200):
+        n = int(rng.integers(200, 16_001))
+        ab = np.ones((2, n), order="F")
+        ab[1] = -rng.uniform(0.0, 0.999)
+        rhs = np.asfortranarray(rng.uniform(0.5, 1.5, (n, 1 if k % 2 else 5)))
+        want, info = dtbtrs(ab, rhs, uplo="L", trans="T", diag="U")
+        got = rhs.copy(order="F")
+        argarch._banded_solve(ab, got)()
+        assert info == 0 and got.tobytes() == want.tobytes(), (k, n)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("ab, rhs", [
+    (np.ones((2, 10), order="F"), np.ones((10, 5))),  # C order
+    (np.ones((2, 10), order="F"), np.ones((10, 1), dtype=np.float32, order="F")),
+    (np.ones((2, 10), order="F"), np.ones((11, 1), order="F")),
+    (np.ones((2, 10), order="F"), np.ones(10)),
+    (np.ones((2, 10), order="F"), _read_only(np.ones((10, 1), order="F"))),
+    (np.ones((2, 10)), np.ones((10, 1), order="F")),  # a C-order band
+    (np.ones((3, 10), order="F"), np.ones((10, 1), order="F")),
+    (_read_only(np.ones((2, 10), order="F")), np.ones((10, 1), order="F")),
+    (np.ones((2, 0), order="F"), np.ones((0, 1), order="F")),
+], ids=["rhs-c-order", "rhs-float32", "rhs-too-long", "rhs-1d", "rhs-read-only",
+        "band-c-order", "band-3-rows", "band-read-only", "empty"])
+def test_the_solve_refuses_arrays_it_cannot_pass_to_lapack(ab, rhs):
+    # through ctypes a wrong array would be read or written out of bounds
+    with pytest.raises(ValueError, match="^the banded solve takes writeable float64"):
+        argarch._banded_solve(ab, rhs)
+
+
+def test_without_numpys_openblas_the_solve_runs_in_scipy(monkeypatch):
+    def no_library(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(argarch.ctypes, "CDLL", no_library)
+    assert argarch._openblas_dtbtrs() is None
+    monkeypatch.setattr(argarch, "_DTBTRS", None)
+    b_coef = 0.894
+    rhs = np.asfortranarray(np.random.default_rng(42).uniform(0.5, 1.5, (2000, 5)))
+    want = _variance_solve(b_coef, rhs, "T")
+    got = _solve(b_coef, rhs, "T")
+    assert got.tobytes() == want.tobytes()
+
+
+# a fit in a fresh interpreter whose ctypes can open no library, so that
+# `import evtrisk` finds no OpenBLAS dtbtrs and the fit solves in SciPy
+FALLBACK_SCRIPT = """
+import ctypes, json, sys
+import numpy as np
+
+def no_library(name, *args, **kwargs):
+    raise OSError(f"{name}: cannot open shared object file")
+
+ctypes.CDLL = no_library
+import evtrisk as ev
+from evtrisk import argarch
+imported = "scipy.linalg" in sys.modules
+fit = ev.fit_qmle(np.load(sys.argv[1]))
+parts = [fit.loglik, fit.params.as_array(), [fit.se[k] for k in sorted(fit.se)], fit.sigma,
+         fit.resid, *fit._search_end]
+print(json.dumps({"route": argarch._DTBTRS is None, "imported": imported,
+                  "loaded": "scipy.linalg.lapack" in sys.modules,
+                  "fit": [np.asarray(part, dtype=float).tobytes().hex() for part in parts]}))
+"""
+
+
+def test_a_fit_has_the_same_bytes_when_the_solve_falls_back_to_scipy(tmp_path):
+    x = ev.sim_argarch(GARCH_TRUTH, 2000, 11, innovation="student_t", df=5.0)
+    np.save(tmp_path / "x.npy", x)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FALLBACK_SCRIPT, str(tmp_path / "x.npy")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout.splitlines()[-1])
+    fit = ev.fit_qmle(x)
+    parts = [fit.loglik, fit.params.as_array(), [fit.se[k] for k in sorted(fit.se)], fit.sigma,
+             fit.resid, *fit._search_end]
+    # SciPy loads only for the fallback's first solve, not at import
+    assert child["route"] and not child["imported"] and child["loaded"]
+    assert child["fit"] == [np.asarray(part, dtype=float).tobytes().hex() for part in parts]
+
+
 POINTS = ["fit", "off-optimum", "at-bound"]
 
 
@@ -747,6 +841,22 @@ def test_a_fit_holds_the_filter_of_its_parameters_byte_for_byte(start):
 # squared deviations of about 1e-310 make the score overflow at every start
 UNDEFINED_SERIES = np.random.default_rng(0).standard_t(5, 500) * 1e-155
 UNDEFINED_Z = np.array([1e300, 0.0, 0.0, 0.0, 0.0])
+
+
+def test_a_filter_computes_no_score_factors():
+    # on this series the score factor w overflows; a plain filter returns
+    # only the recursion, with the bits of the allocating formulas
+    x = UNDEFINED_SERIES
+    params = ev.ArGarchParams(float(np.mean(x)), 0.0, 0.05 * float(np.var(x)), 0.05, 0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ev.filter_series(x, params)
+    with np.errstate(over="ignore"):
+        innov, sigma2 = _recursion(x, *params.as_array())[:2]
+    sigma = np.sqrt(sigma2)
+    assert got.sigma.tobytes() == sigma.tobytes()
+    assert got.resid.tobytes() == (innov / sigma).tobytes()
+    assert got.loglik == np.sum(_gaussian_terms(innov, sigma2))
 
 
 def test_a_search_that_starts_where_the_objective_is_undefined_ends_unconverged():

@@ -557,6 +557,38 @@ def test_sliding_rejection_rates_equal_the_chi2_oracle(level):
     assert summary.reject_cc == float(np.mean(lr_uc + lr_ind > crit2))
 
 
+def test_critical_values_are_the_chi2_quantiles_in_closed_form():
+    from scipy.special import gammaincinv
+
+    levels = np.concatenate([np.linspace(0.001, 0.999, 999), [0.01, 0.025, 0.05, 0.1]])
+    for level in levels.tolist():
+        got = backtest._chi2_critical(level)
+        for crit, df in zip(got, (1, 2)):
+            want = 2.0 * gammaincinv(df / 2.0, 1.0 - level)
+            assert abs(crit - want) <= 3e-14 * want, (level, df)
+
+
+def test_no_attainable_uc_statistic_lies_between_the_old_and_new_critical_values(monkeypatch):
+    # every UC statistic of a window of L = 2..2000 days is rejected at the
+    # closed-form df-1 value exactly where it was at SciPy's 2 gammaincinv.
+    # SciPy's vectorized xlogy stands in for the package's, whose bits
+    # tests/test_special.py shows to be the same, for speed
+    from scipy.special import gammaincinv, xlogy
+
+    monkeypatch.setattr(backtest, "xlogy", xlogy)
+    lengths = np.arange(2, 2001)
+    n1 = np.concatenate([np.arange(n + 1) for n in lengths])
+    n = np.repeat(lengths, lengths + 1)
+    checked = between = 0
+    for p in (0.001, 0.01, 0.025, 0.05):
+        lr = backtest._lr_uc(n1, n, p)
+        for level in (0.01, 0.05, 0.1):
+            old, new = 2.0 * gammaincinv(0.5, 1.0 - level), backtest._chi2_critical(level)[0]
+            between += int(np.count_nonzero((lr > min(old, new)) & (lr <= max(old, new))))
+            checked += lr.size
+    assert checked == 24_035_976 and between == 0
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.7, -1])
 def test_exceedance_series_refuses_values_other_than_0_and_1(bad):
     with pytest.raises(ValueError, match="0/1"):
