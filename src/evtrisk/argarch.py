@@ -613,22 +613,21 @@ def fit_qmle(x, compute_se: bool = True,
     a + b_coef is bounded at 1 - 1e-6 by a box bound of the search.  A
     search converged if it reports `success`: a small projected gradient
     or a stall.  One that ends in a failed line search or at the step
-    budget did not.  Without `start` the fit is multistarted from two
-    fixed data-derived points, one of high and one of low persistence (a
-    cold fit), and keeps the best converged search.  With `start` it runs
-    one search from there (a warm fit), and falls back to the cold starts,
-    flagged "warm_start_failed", if that search does not converge, or if it
-    started from parameters and ended at a lower loglik than one of the
-    cold starting points, from which the cold fit can only climb (two
-    loglik evaluations before the search; a search carried on from a fit
-    skips them).  A search that starts where the loglik or its gradient is
-    not finite ends there unconverged.  A fit that ends on the persistence
-    bound is returned with a "near_igarch" flag rather than rejected.
+    budget did not.  The fit is multistarted from two fixed data-derived
+    points, one of high and one of low persistence (a cold fit), and keeps
+    the best converged search.  A start from parameters is a third start
+    of the cold fit, run after the two, so the fit is never below the cold
+    fit.  A start from a `fit_qmle` result instead runs one search from
+    where that fit's search ended (a warm fit), and falls back to the cold
+    starts, flagged "warm_start_failed", if that search does not converge.
+    A search that starts where the loglik or its gradient is not finite
+    ends there unconverged.  A fit that ends on the persistence bound is
+    returned with a "near_igarch" flag rather than rejected.
 
     The searches run in one `_Likelihood`, and the fit's filter reuses its
     last recursion where the winning search ended there, as every converged
-    search does at its last evaluation: a warm fit, or a cold fit won by its
-    second search, runs no recursion after its search.  The search's step
+    search does at its last evaluation: a warm fit, or a fit won by its
+    last search, runs no recursion after its search.  The search's step
     arithmetic is plain Python floats, with no BLAS or SIMD kernel (see
     `minimize`).
 
@@ -639,17 +638,21 @@ def fit_qmle(x, compute_se: bool = True,
     compute_se : bool
         Attach QMLE sandwich standard errors (skipped in bulk rolling fits).
     start : ArGarchParams or FilteredSeries, optional
-        Warm start.  From parameters the search starts with the identity
-        inverse Hessian.  From a `fit_qmle` result, such as the previous
-        day's fit of a rolling window, it starts at the optimizer vector and
-        with the inverse Hessian that fit's search ended with, so the
-        curvature learned there carries over; a `filter_series` result
-        carries no search and starts from its parameters.
+        From parameters, or from a `filter_series` result, which ran no
+        search: a third start of the cold fit, with the identity inverse
+        Hessian; where it ties a cold start, the cold start's search is
+        kept.  From a `fit_qmle` result, such as the previous day's fit of
+        a rolling window: a warm fit, at the optimizer vector and with the
+        inverse Hessian that fit's search ended with, so the curvature
+        learned there carries over.  Any other type is a ValueError.
 
     Returns
     -------
     FilteredSeries
     """
+    if not (start is None or isinstance(start, (ArGarchParams, FilteredSeries))):
+        raise ValueError("start must be an ArGarchParams or a FilteredSeries, "
+                         f"got {type(start).__name__}")
     x = _finite_floats(x, "AR-GARCH series")
     if x.size < 200:
         raise EstimationError(f"need at least 200 observations to fit, got {x.size}")
@@ -658,21 +661,13 @@ def fit_qmle(x, compute_se: bool = True,
 
     if isinstance(start, FilteredSeries):  # where its search ended, else its parameters
         start = start._search_end or start.params
-    from_params = isinstance(start, ArGarchParams)
-    if from_params:
-        start = (_pack(start), None)
     work = _Likelihood(x)
-    if from_params:  # far parameters can converge far below the cold fit
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            floor = max(work.recursion(*_unpack(_pack(p0))[0]) for p0 in _starts(x))
-    searches = [] if start is None else [minimize(_neg_loglik, start[0], (work,),
-                                                  hinv0=start[1])]
-    failed = not all(res.success for res in searches)
-    if from_params and not failed:
-        failed = -searches[0].fun < floor
-    flags = ("warm_start_failed",) if failed else ()
-    if failed or not searches:
-        searches = [minimize(_neg_loglik, _pack(p0), (work,)) for p0 in _starts(x)]
+    carried = isinstance(start, tuple)
+    searches = [minimize(_neg_loglik, start[0], (work,), hinv0=start[1])] if carried else []
+    flags = ("warm_start_failed",) if carried and not searches[0].success else ()
+    if flags or not carried:  # parameters start last: min keeps the first of equal minima
+        starts = _starts(x) + ([start] if isinstance(start, ArGarchParams) else [])
+        searches = [minimize(_neg_loglik, _pack(p0), (work,)) for p0 in starts]
     converged = [res for res in searches if res.success]
     if not converged:
         raise ConvergenceError("QMLE search failed to converge from any start")

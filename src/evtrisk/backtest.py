@@ -371,9 +371,10 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
     `fit_qmle` and carry nothing, so a day depends on the days before it
     only back to its anchor.  A warm search that does not converge falls
     back to the cold starts too; the target days of both are in
-    `cold_days`.  The day after a failed fit starts from the reused
-    parameters alone, without the curvature of a search, and like every
-    warm day skips `fit_qmle`'s check of a start from far parameters.
+    `cold_days`.  The day after a failed fit carries the reused
+    parameters on as a search end without curvature, so that like every
+    warm day it runs one warm search, not the three starts `fit_qmle`
+    runs from parameters.
     """
     x = _roll_values(r, window, step)
     n = x.size
@@ -393,7 +394,8 @@ def roll_conditional(r, window: int = 2000, step: int = 1, p: float = 0.99,
         except (ConvergenceError, EstimationError):
             if fitted is None:
                 raise
-            # a search end, so the next day skips fit_qmle's far-start check
+            # a search end, so the next day runs one warm search, not the
+            # three-start cold fit that a parameter start is
             fitted = replace(filter_series(xwin, fitted.params),
                              _search_end=(_pack(fitted.params), None))
             failures.append(t + 1)

@@ -28,7 +28,7 @@ def sim_argarch(params: ArGarchParams, n: int, seed,
     The volatility recursion sigma_t^2 = omega + a * a_{t-1}^2 +
     b_coef * sigma_{t-1}^2 starts from the model's unconditional variance
     and a burn-in of 1000 steps is discarded.  Student-t innovations are
-    standardized to unit variance (df > 2 required).
+    standardized to unit variance (a finite df > 2 required).
     """
     _check_integer(n, "n")
     if n < 1:
@@ -38,8 +38,8 @@ def sim_argarch(params: ArGarchParams, n: int, seed,
     if innovation == "gaussian":
         eps = rng.standard_normal(total)
     elif innovation == "student_t":
-        if df is None or not df > 2:
-            raise ValueError(f"student_t innovations need df > 2, got {df}")
+        if df is None or not 2 < df < math.inf:
+            raise ValueError(f"student_t innovations need a finite df > 2, got {df}")
         eps = rng.standard_t(df, total) * math.sqrt((df - 2.0) / df)
     else:
         raise ValueError(f"unknown innovation {innovation!r}")

@@ -894,6 +894,20 @@ def test_a_carried_start_where_the_objective_is_undefined_falls_back_flagged():
     assert fit.flags == cold.flags + ("warm_start_failed",)
 
 
+@pytest.mark.parametrize("start, name", [(_pack(GARCH_TRUTH), "ndarray"), ("cold", "str"),
+                                         (0.5, "float"), ((_pack(GARCH_TRUTH), None), "tuple")])
+def test_a_start_of_another_type_is_refused_before_any_search(monkeypatch, start, name):
+    # an ndarray or a float once failed deep in the fit, and a tuple ran as
+    # a carried search end
+    searches = []
+    monkeypatch.setattr(argarch, "minimize", lambda *args, **kwargs: searches.append(args))
+    x = ev.sim_argarch(GARCH_TRUTH, 300, 11)
+    with pytest.raises(ValueError, match=f"^start must be an ArGarchParams or a "
+                                         f"FilteredSeries, got {name}$"):
+        ev.fit_qmle(x, start=start)
+    assert searches == []
+
+
 # a search on a pure-Python objective in a fresh interpreter: a badly scaled
 # quadratic plus a quartic, so any bits that move come from minimize itself
 SEARCH_SCRIPT = """

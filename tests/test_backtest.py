@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -331,6 +332,18 @@ def test_roll_conditional_anchor_forgets_the_days_before_it():
         assert full.forecasts[m][250:].tobytes() == tail.forecasts[m].tobytes()
 
 
+def _record_searches(monkeypatch):
+    """Record the result of every argarch.minimize call."""
+    real_minimize, searches = argarch.minimize, []
+
+    def wrapped(*args, **kwargs):
+        searches.append(real_minimize(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(argarch, "minimize", wrapped)
+    return searches
+
+
 def test_warm_fit_starts_where_the_previous_search_ended(monkeypatch):
     x = ev.sim_argarch(TRUTH, 500, 32, innovation="student_t", df=5.0)
     cold = ev.fit_qmle(x, compute_se=False)
@@ -343,14 +356,16 @@ def test_warm_fit_starts_where_the_previous_search_ended(monkeypatch):
     monkeypatch.setattr(argarch, "minimize", wrapped)
     ev.fit_qmle(x[1:], compute_se=False, start=cold)
     z_end, hinv_end = cold._search_end
-    assert starts[0][0] is z_end and starts[0][1] is hinv_end
-    # parameters, and a filter_series result, which ran no search, start
-    # from the packed parameters with the identity
+    assert len(starts) == 1 and starts[0][0] is z_end and starts[0][1] is hinv_end
+    # parameters, and a filter_series result, which ran no search, are a
+    # third start after the two cold ones, all from the identity
+    want = [argarch._pack(p0).tolist() for p0 in argarch._starts(x[1:])]
+    want.append(argarch._pack(cold.params).tolist())
     for start in (cold.params, ev.filter_series(x, cold.params)):
         starts.clear()
         ev.fit_qmle(x[1:], compute_se=False, start=start)
-        assert starts[0][0].tolist() == argarch._pack(cold.params).tolist()
-        assert starts[0][1] is None
+        assert [z0.tolist() for z0, _ in starts] == want
+        assert all(hinv0 is None for _, hinv0 in starts)
 
 
 def _fail_search(monkeypatch, k):
@@ -373,7 +388,7 @@ def test_failed_warm_search_falls_back_to_the_cold_fit(monkeypatch):
     cold = ev.fit_qmle(x, compute_se=False)
     assert "warm_start_failed" not in cold.flags
     searches = _fail_search(monkeypatch, 0)
-    fit = ev.fit_qmle(x, compute_se=False, start=cold.params)
+    fit = ev.fit_qmle(x, compute_se=False, start=cold)
     assert len(searches) == 1 + len(argarch._starts(x))
     assert fit.params == cold.params and fit.loglik == cold.loglik
     assert fit.flags == cold.flags + ("warm_start_failed",)
@@ -384,6 +399,7 @@ def test_warm_search_that_uses_up_its_steps_falls_back_to_the_cold_fit(monkeypat
                        innovation="student_t", df=5.0)
     cold = ev.fit_qmle(x, compute_se=False)
     far, full_budget = ev.ArGarchParams(0.0, 0.0, 0.5, 0.3, 0.3), argarch._MAX_STEPS
+    carried = replace(cold, _search_end=(argarch._pack(far), None))
     monkeypatch.setattr(argarch, "_MAX_STEPS", 2)
     short = argarch.minimize(argarch._neg_loglik, argarch._pack(far), (argarch._Likelihood(x),))
     assert not short.success and short.nfev >= 3
@@ -396,7 +412,7 @@ def test_warm_search_that_uses_up_its_steps_falls_back_to_the_cold_fit(monkeypat
         return searches[-1]
 
     monkeypatch.setattr(argarch, "minimize", wrapped)
-    fit = ev.fit_qmle(x, compute_se=False, start=far)
+    fit = ev.fit_qmle(x, compute_se=False, start=carried)
     assert searches[0].x.tolist() == short.x.tolist() and not searches[0].success
     assert len(searches) == 1 + len(argarch._starts(x))
     assert all(res.success for res in searches[1:])
@@ -404,76 +420,83 @@ def test_warm_search_that_uses_up_its_steps_falls_back_to_the_cold_fit(monkeypat
     assert fit.flags == cold.flags + ("warm_start_failed",)
 
 
-@pytest.mark.parametrize("far", [ev.ArGarchParams(0.0, 0.0, 1e-300, 0.0, 0.0),
-                                 ev.ArGarchParams(1e5, 0.0, 1e-300, 0.0, 0.0)],
-                         ids=["zero", "far-mean"])
-def test_parameter_start_that_ends_below_a_cold_start_falls_back(monkeypatch, far):
-    # both warm searches converge, omega stuck at 1e-300, thousands of
-    # loglik units below where the cold starts begin
-    x = ev.sim_argarch(TRUTH, 2000, 7, innovation="student_t", df=5.0)
+# (series, start): far parameter starts, whose searches converge below the
+# cold fit, and the parameter and filter_series starts of a day-ahead refit
+SIM_7, SIM_32 = (ev.sim_argarch(TRUTH, 2000, seed, innovation="student_t", df=5.0)
+                 for seed in (7, 32))
+SIM_11 = ev.sim_argarch(TRUTH, 2001, 11, innovation="student_t", df=5.0)
+
+
+def _today_params():
+    """The parameters of a cold fit of SIM_11's first 2,000 days."""
+    return ev.fit_qmle(SIM_11[:-1], compute_se=False).params
+
+
+PARAMETER_STARTS = {
+    "seed7-tiny-omega": (SIM_7, lambda: ev.ArGarchParams(0.0, 0.0, 1e-300, 0.05, 0.9)),
+    "seed32-zero": (SIM_32, lambda: ev.ArGarchParams(0.0, 0.0, 1e-300, 0.0, 0.0)),
+    "zero": (SIM_7, lambda: ev.ArGarchParams(0.0, 0.0, 1e-300, 0.0, 0.0)),
+    "far-mean": (SIM_7, lambda: ev.ArGarchParams(1e5, 0.0, 1e-300, 0.0, 0.0)),
+    "params": (SIM_11[1:], _today_params),
+    "filter_series": (SIM_11[1:], lambda: ev.filter_series(SIM_11[:-1], _today_params())),
+}
+
+
+@pytest.mark.parametrize("case", list(PARAMETER_STARTS))
+def test_a_parameter_start_is_one_more_cold_start(monkeypatch, case):
+    # the search from the first four starts converges 26 to 4e9 loglik
+    # units below the cold fit; the fit keeps the best converged search
+    x, start = PARAMETER_STARTS[case]
+    start = start()
     cold = ev.fit_qmle(x, compute_se=False)
-    work = argarch._Likelihood(x)
-    floor = max(work.recursion(*argarch._unpack(argarch._pack(p0))[0])
-                for p0 in argarch._starts(x))
-    real_minimize, searches = argarch.minimize, []
-
-    def wrapped(*args, **kwargs):
-        searches.append(real_minimize(*args, **kwargs))
-        return searches[-1]
-
-    monkeypatch.setattr(argarch, "minimize", wrapped)
-    fit = ev.fit_qmle(x, compute_se=False, start=far)
-    assert searches[0].success and -searches[0].fun < floor - 1000.0
-    assert len(searches) == 1 + len(argarch._starts(x))
-    assert fit.params == cold.params and fit.loglik == cold.loglik
-    assert fit.flags == cold.flags + ("warm_start_failed",)
+    searches = _record_searches(monkeypatch)
+    fit = ev.fit_qmle(x, compute_se=False, start=start)
+    assert len(searches) == len(argarch._starts(x)) + 1
+    assert fit.loglik >= cold.loglik
+    assert fit.loglik == -min(res.fun for res in searches if res.success)
+    assert "warm_start_failed" not in fit.flags
 
 
-def test_only_a_parameter_start_pays_two_loglik_evaluations_for_its_check(monkeypatch):
+def test_no_start_pays_a_loglik_evaluation_for_a_check(monkeypatch):
     x = ev.sim_argarch(TRUTH, 500, 32, innovation="student_t", df=5.0)
     cold = ev.fit_qmle(x, compute_se=False)
-    real_recursion, real_minimize = argarch._Likelihood.recursion, argarch.minimize
-    recursions, searches = [], []
+    real_recursion, recursions = argarch._Likelihood.recursion, []
 
     def recursion(self, *theta):
         recursions.append(theta)
         return real_recursion(self, *theta)
 
-    def wrapped(*args, **kwargs):
-        searches.append(real_minimize(*args, **kwargs))
-        return searches[-1]
-
     monkeypatch.setattr(argarch._Likelihood, "recursion", recursion)
-    monkeypatch.setattr(argarch, "minimize", wrapped)
+    searches = _record_searches(monkeypatch)
     # a search carried on from a fit, as the roll's warm days run, pays
-    # nothing beyond its own evaluations, whose last one the filter reuses
-    for start, check in ((cold, 0), (cold.params, 2), (ev.filter_series(x, cold.params), 2)):
+    # nothing beyond its own evaluations, whose last one the filter reuses;
+    # a parameter start pays one more only where its own search, the last,
+    # does not win
+    for start, count in ((cold, 1), (cold.params, 3), (ev.filter_series(x, cold.params), 3)):
         recursions.clear()
         searches.clear()
         fit = ev.fit_qmle(x[1:], compute_se=False, start=start)
-        assert "warm_start_failed" not in fit.flags and len(searches) == 1
-        assert len(recursions) == searches[0].nfev + check
+        assert "warm_start_failed" not in fit.flags and len(searches) == count
+        best = min((res for res in searches if res.success), key=lambda res: res.fun)
+        refilter = best is not searches[-1]
+        assert len(recursions) == sum(res.nfev for res in searches) + refilter
 
 
 def test_searches_report_every_objective_evaluation(monkeypatch):
     x = ev.sim_argarch(ev.ArGarchParams(-0.05, 0.066, 0.011, 0.099, 0.894), 500, 32,
                        innovation="student_t", df=5.0)
     cold = ev.fit_qmle(x, compute_se=False)
-    real_objective, real_minimize, evals, searches = argarch._neg_loglik, argarch.minimize, [], []
+    real_objective, evals = argarch._neg_loglik, []
 
     def objective(z, x):
         evals.append(z)
         return real_objective(z, x)
 
-    def wrapped(*args, **kwargs):
-        searches.append(real_minimize(*args, **kwargs))
-        return searches[-1]
-
     monkeypatch.setattr(argarch, "_neg_loglik", objective)
-    monkeypatch.setattr(argarch, "minimize", wrapped)
+    searches = _record_searches(monkeypatch)
     ev.fit_qmle(x, compute_se=False)
     ev.fit_qmle(x[1:], compute_se=False, start=cold.params)
-    assert len(searches) == len(argarch._starts(x)) + 1
+    assert len(searches) == 2 * len(argarch._starts(x)) + 1
     assert all(res.nfev > 1 for res in searches)
     assert sum(res.nfev for res in searches) == len(evals)
 

@@ -259,6 +259,17 @@ def test_sim_is_byte_identical_across_runs(tmp_path):
     assert (a / "sim_report.json").read_bytes() == (b / "sim_report.json").read_bytes()
 
 
+def test_sim_with_an_infinite_df_exits_1_naming_df(tmp_path, capsys):
+    # the t standardization sqrt((df - 2) / df) is inf / inf there
+    code = _run("sim", "--model", "argarch", "--mu", -0.05, "--phi", 0.066,
+                "--omega", 0.011, "--a", 0.099, "--b", 0.894, "--innovation", "student_t",
+                "--df", "inf", "--n", 100, "--seed", 3, "--out-dir", tmp_path / "o")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: student_t innovations need a finite df > 2, got inf\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_rerun_into_same_dir_is_stable(pareto_csv, tmp_path):
     out = tmp_path / "tail"
     args = ("tail", "--input", pareto_csv, "--k-alpha", 100, "--p", 0.99,

@@ -74,6 +74,8 @@ def test_argarch_student_t_has_heavier_tails():
     assert np.mean(np.abs(t) > 5 * t.std()) > np.mean(np.abs(g) > 5 * g.std())
     with pytest.raises(ValueError):
         ev.sim_argarch(params, 100, 0, innovation="student_t")  # df required
+    with pytest.raises(ValueError, match="finite df > 2, got inf$"):
+        ev.sim_argarch(params, 100, 0, innovation="student_t", df=np.inf)
     with pytest.raises(ValueError):
         ev.sim_argarch(params, 100, 0, innovation="cauchy")
 
